@@ -38,8 +38,8 @@ void usage() {
          "       campaign_cli --merge SHARD.json... [--summary-md FILE]\n"
          "                    [--dedup-report FILE] [--quiet]\n"
          "       campaign_cli --repro SPEC-OR-FILE\n"
-         "--spec loads the JSON campaign spec the htnoc_serverd daemon\n"
-         "accepts (docs/SERVER.md); other flags override on top of it.\n"
+         "--spec loads a JSON campaign spec (rules: \"Spec files\" in\n"
+         "docs/REPRODUCING.md); other flags override on top of it.\n"
          "--shard runs one strided slice of the campaign; --shard-summary\n"
          "writes the shard's mergeable JSON document, and --merge combines\n"
          "a complete shard set into the unsharded campaign verdict.\n";
@@ -85,8 +85,8 @@ int main(int argc, char** argv) {
   bool merging = false;
   bool quiet = false;
 
-  // --spec loads first (wherever it appears): identical input bytes mean
-  // identical runs here and in the daemon, and later flags override.
+  // --spec loads first (wherever it appears), so every other flag
+  // overrides on top of the file.
   for (int i = 1; i + 1 < argc; ++i) {
     if (std::string(argv[i]) == "--spec") {
       try {

@@ -33,9 +33,9 @@ using namespace htnoc;
 void usage() {
   std::printf(
       "usage: sweep_cli [options]\n"
-      "  --spec FILE        load a sweep spec from JSON (the schema the\n"
-      "                     htnoc_serverd daemon accepts; docs/SERVER.md);\n"
-      "                     other flags override on top of it\n"
+      "  --spec FILE        load a sweep spec from JSON (rules: \"Spec files\"\n"
+      "                     in docs/REPRODUCING.md); other flags override\n"
+      "                     on top of it\n"
       "  --modes M,..       mitigation modes: none, lob, reroute "
       "(default none)\n"
       "  --attacks A,..     attack scenarios: none, single, mem, multi "
@@ -108,9 +108,9 @@ int main(int argc, char** argv) {
     for (int i = 1; i < argc; ++i) {
       if (std::strcmp(argv[i], "--spec") == 0) {
         if (i + 1 >= argc) throw std::runtime_error("--spec needs a value");
-        // The file carries the spec schema's defaults (replicates 1, like
-        // the daemon), not the CLI's replicates=3 — identical input bytes
-        // must mean identical runs in both front ends.
+        // The file carries the spec schema's defaults (replicates 1), not
+        // the CLI's replicates=3 — identical spec bytes always mean
+        // identical runs, whatever the CLI defaults.
         spec = sweep::parse_sweep_spec(read_file(argv[i + 1]));
         break;
       }

@@ -1,5 +1,6 @@
 #include "common/json.hpp"
 
+#include <cerrno>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
@@ -80,8 +81,17 @@ class Parser {
     skip_ws();
     const char c = peek();
     switch (c) {
-      case '{': return parse_object();
-      case '[': return parse_array();
+      case '{':
+      case '[': {
+        if (depth_ == kMaxDepth) {
+          fail("nesting deeper than " + std::to_string(kMaxDepth) +
+               " levels");
+        }
+        ++depth_;
+        Value v = c == '{' ? parse_object() : parse_array();
+        --depth_;
+        return v;
+      }
       case '"': return Value(parse_string());
       case 't':
         if (literal("true")) return Value(true);
@@ -245,6 +255,7 @@ class Parser {
 
   std::string_view text_;
   std::size_t pos_ = 0;
+  int depth_ = 0;
 };
 
 void write_escaped(std::string& out, const std::string& s) {
@@ -362,12 +373,17 @@ std::uint64_t as_uint64(const Value& v) {
   }
   if (v.is_string()) {
     const std::string& s = v.as_string();
-    if (s.empty()) throw TypeError("expected unsigned integer, got \"\"");
+    const auto bad = [&s] {
+      return TypeError("expected unsigned integer, got \"" + s + "\"");
+    };
+    // strtoull would skip leading whitespace, accept a sign (wrapping "-1"
+    // to 2^64-1) and saturate on overflow; an unsigned literal starts with
+    // a digit and fits in 64 bits.
+    if (s.empty() || s.front() < '0' || s.front() > '9') throw bad();
     char* end = nullptr;
+    errno = 0;
     const unsigned long long x = std::strtoull(s.c_str(), &end, 0);
-    if (end == nullptr || *end != '\0' || s.front() == '-') {
-      throw TypeError("expected unsigned integer, got \"" + s + "\"");
-    }
+    if (*end != '\0' || errno == ERANGE) throw bad();
     return static_cast<std::uint64_t>(x);
   }
   throw TypeError("expected unsigned integer, got " + v.type_name());

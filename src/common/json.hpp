@@ -3,13 +3,15 @@
 // deterministic serializer.
 //
 // This is the single JSON substrate shared by the spec codecs
-// (src/sweep/spec_json, src/verify/campaign_json) and the simulation
-// server (src/server) — the CLI `--spec` path and the daemon's HTTP job
-// submission parse through exactly the same code, so they cannot drift.
+// (src/sweep/spec_json, src/verify/campaign_json) and the campaign shard
+// summaries (src/verify/shard_merge) — every `--spec` and `--merge` input
+// parses through exactly the same code.
 //
 // Deliberate strictness (specs are configuration, not documents):
 //   * duplicate object keys are a parse error;
 //   * trailing non-whitespace after the top-level value is a parse error;
+//   * arrays and objects nest at most kMaxDepth levels deep (the parser
+//     recurses once per level, so hostile input cannot exhaust the stack);
 //   * objects preserve insertion order, so serialize(parse(x)) is
 //     deterministic and serialize(parse(serialize(v))) == serialize(v).
 #pragma once
@@ -149,6 +151,10 @@ class Value {
   Object obj_;
 };
 
+/// Deepest array/object nesting parse() accepts. Spec documents nest a few
+/// levels; anything deeper is rejected with a ParseError.
+inline constexpr int kMaxDepth = 256;
+
 /// Strict parse of one complete JSON document. Throws ParseError.
 [[nodiscard]] Value parse(std::string_view text);
 
@@ -165,7 +171,9 @@ void write(std::string& out, const Value& v, int indent = -1);
 
 /// uint64 values can exceed JSON's exactly-representable integer range, so
 /// the codecs serialize them as decimal/hex strings; this accepts either a
-/// JSON number (exact only below 2^53) or a string ("123", "0x7b").
+/// JSON number (exact only below 2^53) or a string of a decimal, hex or
+/// octal literal ("123", "0x7b", "0173"). A string must start with a digit
+/// (no sign, no whitespace) and fit in 64 bits; otherwise TypeError.
 [[nodiscard]] std::uint64_t as_uint64(const Value& v);
 
 }  // namespace htnoc::json

@@ -195,22 +195,4 @@ void LatencyStats::print(std::ostream& os, const std::string& label) const {
   os << '\n';
 }
 
-json::Value LatencyStats::to_json() const {
-  json::Object o;
-  o.emplace_back("count", json::Value(static_cast<double>(count_)));
-  o.emplace_back("mean", json::Value(mean()));
-  o.emplace_back("min", json::Value(static_cast<double>(min_)));
-  o.emplace_back("max", json::Value(static_cast<double>(max_)));
-  o.emplace_back("p50", json::Value(p50()));
-  o.emplace_back("p95", json::Value(p95()));
-  o.emplace_back("p99", json::Value(p99()));
-  json::Array hist;
-  hist.reserve(kBuckets);
-  for (std::size_t b = 0; b < kBuckets; ++b) {
-    hist.emplace_back(static_cast<double>(hist_[b]));
-  }
-  o.emplace_back("histogram", json::Value(std::move(hist)));
-  return json::Value(std::move(o));
-}
-
 }  // namespace htnoc::stats

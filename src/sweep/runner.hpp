@@ -116,7 +116,8 @@ class SweepRunner {
     /// runs). Called from worker threads, possibly concurrently — the
     /// callee synchronizes. Purely observational: it must not (and cannot)
     /// affect results, which stay byte-identical with or without it. The
-    /// server's /runs endpoint feeds per-job progress from this.
+    /// repository benchmark (perfbench/) times each run from this hook and
+    /// `should_stop`.
     std::function<void(std::size_t, std::size_t)> progress = nullptr;
 
     /// Cooperative stop token, polled before each run is claimed (run
@@ -124,13 +125,13 @@ class SweepRunner {
     /// true, no further runs start, the claimed prefix completes, and the
     /// result comes back with `cancelled == true` and `runs` truncated to
     /// that prefix. Called from worker threads, possibly concurrently — it
-    /// must be thread-safe (typically a load of an std::atomic<bool>). The
-    /// server's DELETE /runs/<id> feeds this; like `progress` it is not
-    /// part of the spec document (the spec codec never sees it). Because
-    /// workers claim run indices off a single atomic cursor, the completed
-    /// set is always the exact prefix [0, k) — so a cancelled sweep's
-    /// emitted artifacts for a fixed stop point k are byte-identical to a
-    /// sweep over the first k runs.
+    /// must be thread-safe (typically a load of an std::atomic<bool>). Like
+    /// `progress` it is not part of the spec document (the spec codec
+    /// never sees it). Because workers claim run indices off a single
+    /// atomic cursor, the completed set is always the exact prefix [0, k)
+    /// — so a cancelled sweep's emitted artifacts for a fixed stop point k
+    /// are byte-identical to a sweep over the first k runs (locked by
+    /// tests/test_sweep_engine.cpp).
     std::function<bool()> should_stop = nullptr;
   };
 

@@ -1,6 +1,5 @@
 // JSON codec for SweepSpec — the single source of truth for experiment
-// specs shared by `sweep_cli --spec`, the simulation server's HTTP job
-// submission and the tests, so the CLI and the daemon cannot drift.
+// specs, shared by `sweep_cli --spec` and the tests.
 //
 // Contract:
 //   * parsing is strict — unknown keys, wrong types and out-of-range
@@ -12,7 +11,8 @@
 //     because JSON numbers lose exactness above 2^53; parsing accepts a
 //     number or a decimal/hex string everywhere an integer is expected.
 //
-// The schema is documented field-by-field in docs/SERVER.md.
+// The spec-file rules are documented in docs/REPRODUCING.md ("Spec
+// files"); sweep_spec_to_json below lists every supported field.
 #pragma once
 
 #include <stdexcept>
@@ -44,7 +44,7 @@ class SpecError : public std::runtime_error {
 
 /// The named attack-scenario presets the CLI has always offered ("none",
 /// "single", "mem", "multi"); shared so a preset means the same implants
-/// in a JSON spec, on the sweep_cli command line and over HTTP.
+/// in a JSON spec and on the sweep_cli command line.
 [[nodiscard]] AttackScenario attack_scenario_preset(const std::string& name);
 
 /// One scenario from either a preset name string or a full

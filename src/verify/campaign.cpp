@@ -604,7 +604,7 @@ CampaignResult FaultCampaign::run() const {
     // Truncating to the claimed prefix makes a cancelled campaign's summary
     // a pure function of the stop point: scenario draws depend only on
     // (seed, index), so the summary equals that of a `cursor`-scenario
-    // campaign with the same seed (locked by tests/test_server_recovery).
+    // campaign with the same seed (locked by tests/test_campaign_determinism).
     out.cancelled = true;
     out.scenarios.resize(static_cast<std::size_t>(std::min<std::uint64_t>(
         cursor.load(std::memory_order_relaxed), local)));

@@ -79,7 +79,7 @@ struct CampaignSpec {
   /// hook, not a scenario parameter: never serialized by campaign_json.cpp
   /// and it cannot perturb the draw sequence — a campaign cancelled after
   /// k scenarios summarizes byte-identically to a k-scenario campaign of
-  /// the same seed (the server's DELETE /runs/<id> relies on this).
+  /// the same seed (locked by tests/test_campaign_determinism.cpp).
   std::function<bool()> should_stop = nullptr;
 };
 

@@ -1,6 +1,6 @@
-// JSON codec for CampaignSpec — shared by `campaign_cli --spec`, the
-// simulation server's HTTP job submission and the tests (the sweep-side
-// counterpart lives in src/sweep/spec_json.hpp; same contract).
+// JSON codec for CampaignSpec — shared by `campaign_cli --spec` and the
+// tests (the sweep-side counterpart lives in src/sweep/spec_json.hpp; same
+// contract).
 //
 // Strict parse (unknown keys / wrong types / out-of-range values raise
 // sweep::SpecError with the field path), canonical serialization (every
@@ -9,9 +9,8 @@
 //
 // Execution knobs that do not change the drawn scenarios — the worker
 // thread count and the `progress` / `should_stop` runtime hooks — are
-// deliberately NOT part of the spec document; they belong to the
-// submitting CLI/server request (`--jobs`, the job envelope's "jobs"
-// field, the server's DELETE /runs/<id> cancellation token).
+// deliberately NOT part of the spec document; they belong to the caller
+// (`campaign_cli --jobs`, the benchmark's per-scenario timing hooks).
 #pragma once
 
 #include <string>

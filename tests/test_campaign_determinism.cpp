@@ -4,9 +4,12 @@
 // "seed + index" minimal repro from a 10k-scenario nightly soak trustworthy.
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <memory>
 #include <string>
 
 #include "verify/campaign.hpp"
+#include "verify/campaign_json.hpp"
 
 namespace htnoc::verify {
 namespace {
@@ -103,6 +106,46 @@ TEST(CampaignDeterminism, ParseReproRejectsGarbage) {
   EXPECT_FALSE(parse_repro("seed=1 index=2").has_value());
   EXPECT_FALSE(parse_repro("htnoc-campaign-repro seed=zz index=1").has_value());
   EXPECT_FALSE(parse_repro("htnoc-campaign-repro seed=0x1").has_value());
+}
+
+TEST(CancelDeterminism, CancelledCampaignEqualsShorterCampaign) {
+  // Single-threaded campaign with a stop token raised after 3 scenarios:
+  // the claimed prefix is exactly [0, k), so the cancelled summary must be
+  // byte-identical to an uncancelled k-scenario campaign — and reproducible
+  // run over run.
+  auto cancelled_run = [] {
+    CampaignSpec spec = parse_campaign_spec(R"({
+      "seed": "0x5eed", "scenarios": 10, "audit_period": 64})");
+    spec.threads = 1;
+    auto completed = std::make_shared<std::atomic<std::uint64_t>>(0);
+    spec.progress = [completed](std::uint64_t done, std::uint64_t) {
+      completed->store(done, std::memory_order_relaxed);
+    };
+    spec.should_stop = [completed] {
+      return completed->load(std::memory_order_relaxed) >= 3;
+    };
+    return FaultCampaign(spec).run();
+  };
+
+  const CampaignResult first = cancelled_run();
+  const CampaignResult second = cancelled_run();
+  EXPECT_TRUE(first.cancelled);
+  EXPECT_EQ(first.scenarios.size(), second.scenarios.size());
+  EXPECT_EQ(first.summary_text(), second.summary_text());
+  EXPECT_EQ(first.summary_markdown(), second.summary_markdown());
+
+  // Equivalence with the campaign that only ever asked for k scenarios.
+  const std::uint64_t k = first.scenarios.size();
+  ASSERT_GE(k, 3u);
+  ASSERT_LT(k, 10u);
+  CampaignSpec shorter = parse_campaign_spec(R"({
+    "seed": "0x5eed", "scenarios": 10, "audit_period": 64})");
+  shorter.threads = 1;
+  shorter.scenarios = k;
+  const CampaignResult direct = FaultCampaign(shorter).run();
+  EXPECT_FALSE(direct.cancelled);
+  EXPECT_EQ(first.summary_text(), direct.summary_text());
+  EXPECT_EQ(first.summary_markdown(), direct.summary_markdown());
 }
 
 }  // namespace

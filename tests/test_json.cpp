@@ -1,13 +1,15 @@
-// The strict JSON substrate under the spec codecs and the daemon: parse /
-// serialize round-trips, duplicate-key and trailing-garbage rejection,
-// line/column error positions, number formatting that survives a
-// parse-print cycle, and the uint64-as-hex-string convention.
+// The strict JSON substrate under the spec codecs and shard summaries:
+// parse / serialize round-trips, duplicate-key and trailing-garbage
+// rejection, line/column error positions, the nesting cap, number
+// formatting that survives a parse-print cycle, and the
+// uint64-as-hex-string convention.
 #include "common/json.hpp"
 
 #include <gtest/gtest.h>
 
 #include <cmath>
 #include <limits>
+#include <string>
 
 namespace htnoc::json {
 namespace {
@@ -72,6 +74,30 @@ TEST(Json, ErrorsCarryLineAndColumn) {
   }
 }
 
+TEST(Json, NestingIsCappedWithAPositionedError) {
+  const auto arrays = [](int depth) {
+    return std::string(static_cast<std::size_t>(depth), '[') +
+           std::string(static_cast<std::size_t>(depth), ']');
+  };
+  const auto objects = [](int depth) {
+    std::string doc;
+    for (int i = 0; i < depth; ++i) doc += R"({"a":)";
+    return doc + "1" + std::string(static_cast<std::size_t>(depth), '}');
+  };
+  EXPECT_TRUE(parse(arrays(kMaxDepth)).is_array());
+  EXPECT_TRUE(parse(objects(kMaxDepth)).is_object());
+  try {
+    (void)parse(arrays(kMaxDepth + 1));
+    FAIL() << "expected ParseError";
+  } catch (const ParseError& e) {
+    EXPECT_EQ(e.line(), 1);
+    EXPECT_EQ(e.column(), kMaxDepth + 1);  // the first '[' past the cap
+  }
+  EXPECT_THROW((void)parse(objects(kMaxDepth + 1)), ParseError);
+  // Far past the cap: deep enough to overflow the stack without it.
+  EXPECT_THROW((void)parse(arrays(200000)), ParseError);
+}
+
 TEST(Json, StringEscapes) {
   const Value v = parse(R"("a\"b\\c\/d\n\tAé")");
   EXPECT_EQ(v.as_string(), "a\"b\\c/d\n\tA\xC3\xA9");
@@ -118,6 +144,17 @@ TEST(Json, AsUint64AcceptsNumbersAndStrings) {
   EXPECT_THROW(as_uint64(parse("9007199254740993")), TypeError);
   EXPECT_THROW(as_uint64(parse("\"nope\"")), TypeError);
   EXPECT_THROW(as_uint64(parse("true")), TypeError);
+  // Octal literals keep working, like hex and decimal.
+  EXPECT_EQ(as_uint64(parse("\"0173\"")), 0173u);
+  // Overflow is an error, not a saturated 2^64-1.
+  EXPECT_THROW((void)as_uint64(parse("\"999999999999999999999999999999\"")),
+               TypeError);
+  EXPECT_THROW((void)as_uint64(parse("\"0x10000000000000000\"")), TypeError);
+  // Only a bare literal: no sign, no leading or trailing whitespace.
+  for (const char* s : {"\"-1\"", "\" -1\"", "\"+1\"", "\" 1\"", "\"\\t1\"",
+                        "\"1 \"", "\"\""}) {
+    EXPECT_THROW((void)as_uint64(parse(s)), TypeError) << s;
+  }
 }
 
 TEST(Json, TypeErrorsOnWrongAccess) {

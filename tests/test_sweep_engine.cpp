@@ -3,6 +3,7 @@
 // run throws mid-sweep.
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cmath>
 #include <set>
 
@@ -10,6 +11,7 @@
 #include "sweep/emit.hpp"
 #include "sweep/runner.hpp"
 #include "sweep/spec.hpp"
+#include "sweep/spec_json.hpp"
 
 namespace htnoc {
 namespace {
@@ -232,6 +234,37 @@ TEST(SweepRunner, ProbeSeriesRecordedWhenEnabled) {
   EXPECT_EQ(r.throughput_series.back().cycle, 200u);
   EXPECT_EQ(r.throughput_series.back().primary_delivered,
             r.traffic.packets_delivered);
+}
+
+TEST(CancelDeterminism, CancelledSweepHoldsClaimedPrefix) {
+  // The cancelled result holds exactly the claimed prefix of the expansion
+  // order, and its runs match a direct run truncated to the same prefix.
+  const sweep::SweepSpec spec = sweep::parse_sweep_spec(R"({
+    "modes": ["none", "lob", "reroute"], "attacks": ["single"],
+    "profiles": ["blackscholes"], "rates": [1.0],
+    "replicates": 2, "seed": "0x5eed", "cycles": 120})");
+
+  std::atomic<std::uint64_t> completed{0};
+  sweep::SweepRunner::Options opts;
+  opts.num_threads = 1;
+  opts.progress = [&completed](std::size_t done, std::size_t) {
+    completed.store(done, std::memory_order_relaxed);
+  };
+  opts.should_stop = [&completed] {
+    return completed.load(std::memory_order_relaxed) >= 2;
+  };
+  const sweep::SweepResult result = sweep::SweepRunner(opts).run(spec);
+  EXPECT_TRUE(result.cancelled);
+  ASSERT_GE(result.runs.size(), 2u);
+  ASSERT_LT(result.runs.size(), 6u);
+
+  const sweep::SweepResult full =
+      sweep::SweepRunner(sweep::SweepRunner::Options{}).run(spec);
+  ASSERT_EQ(full.runs.size(), 6u);
+  for (std::size_t i = 0; i < result.runs.size(); ++i) {
+    EXPECT_EQ(result.runs[i].spec.label(), full.runs[i].spec.label()) << i;
+    EXPECT_EQ(result.runs[i].metrics(), full.runs[i].metrics()) << i;
+  }
 }
 
 }  // namespace
