@@ -14,7 +14,12 @@
 //   8. Link ECC scheme x trojan payload: the attacker-knows-the-ECC
 //      assumption (Sec. III-B) — the same trojan flips between DoS and
 //      silent corruption depending on the code it faces.
+//
+// Each section's simulations are independent runs fanned out over
+// `--jobs N` / $HTNOC_JOBS workers; the printed tables are identical for
+// any count.
 #include <cstdio>
+#include <iterator>
 
 #include "bench_common.hpp"
 #include "mitigation/latency_auditor.hpp"
@@ -257,30 +262,37 @@ const char* classify_outcome(const EccOutcome& o) {
 
 }  // namespace
 
-int main() {
+int main(int argc, char** argv) {
   using namespace htnoc;
+  const int jobs = bench::parse_jobs(argc, argv);
   bench::print_header("Ablations", "design-choice sweeps (DESIGN.md Sec. 5)");
 
   std::printf("\n1) TASP payload-counter width Y: area vs time-to-detection\n");
   std::printf("%6s %12s %18s\n", "Y", "area(um2)", "detect_lat(cyc)");
-  for (const int y : {2, 4, 8, 16, 32}) {
+  const int widths[] = {2, 4, 8, 16, 32};
+  const auto width_lat = bench::parallel_map(
+      std::size(widths), jobs,
+      [&](std::size_t i) { return detection_latency(widths[i], 1); });
+  for (std::size_t i = 0; i < std::size(widths); ++i) {
     const double area =
-        power::tasp_block(trojan::TargetKind::kDest, y).area_um2();
-    const Cycle lat = detection_latency(y, 1);
-    std::printf("%6d %12.2f %18llu\n", y, area,
-                static_cast<unsigned long long>(lat));
+        power::tasp_block(trojan::TargetKind::kDest, widths[i]).area_um2();
+    std::printf("%6d %12.2f %18llu\n", widths[i], area,
+                static_cast<unsigned long long>(width_lat[i]));
   }
 
   std::printf("\n2) TASP duty cycle (min_gap): stealth vs abruptness\n");
   std::printf("%10s %18s\n", "min_gap", "detect_lat(cyc)");
-  for (const Cycle gap : {Cycle{1}, Cycle{4}, Cycle{16}, Cycle{64}}) {
-    const Cycle lat = detection_latency(8, gap);
-    if (lat == 0) {
-      std::printf("%10llu %18s\n", static_cast<unsigned long long>(gap),
-                  "undetected");
+  const Cycle gaps[] = {1, 4, 16, 64};
+  const auto gap_lat = bench::parallel_map(
+      std::size(gaps), jobs,
+      [&](std::size_t i) { return detection_latency(8, gaps[i]); });
+  for (std::size_t i = 0; i < std::size(gaps); ++i) {
+    const auto gap = static_cast<unsigned long long>(gaps[i]);
+    if (gap_lat[i] == 0) {
+      std::printf("%10llu %18s\n", gap, "undetected");
     } else {
-      std::printf("%10llu %18llu\n", static_cast<unsigned long long>(gap),
-                  static_cast<unsigned long long>(lat));
+      std::printf("%10llu %18llu\n", gap,
+                  static_cast<unsigned long long>(gap_lat[i]));
     }
   }
 
@@ -288,9 +300,13 @@ int main() {
               "volume\n");
   std::printf("%16s %14s %14s\n", "escalate_after", "T_done(cyc)",
               "obf_attempts");
-  for (const int thr : {2, 3, 4}) {
-    const auto c = lob_cost(thr, true);
-    std::printf("%16d %14llu %14llu\n", thr,
+  const int thresholds[] = {2, 3, 4};
+  const auto thr_cost = bench::parallel_map(
+      std::size(thresholds), jobs,
+      [&](std::size_t i) { return lob_cost(thresholds[i], true); });
+  for (std::size_t i = 0; i < std::size(thresholds); ++i) {
+    const MitigationCost& c = thr_cost[i];
+    std::printf("%16d %14llu %14llu\n", thresholds[i],
                 static_cast<unsigned long long>(c.completion),
                 static_cast<unsigned long long>(c.obfuscated_attempts));
   }
@@ -298,9 +314,13 @@ int main() {
   std::printf("\n4) L-Ob per-flow success log on/off\n");
   std::printf("%8s %14s %14s %10s\n", "log", "T_done(cyc)", "obf_attempts",
               "log_hits");
-  for (const bool use_log : {true, false}) {
-    const auto c = lob_cost(2, use_log);
-    std::printf("%8s %14llu %14llu %10llu\n", use_log ? "on" : "off",
+  const bool logs[] = {true, false};
+  const auto log_cost = bench::parallel_map(
+      std::size(logs), jobs,
+      [&](std::size_t i) { return lob_cost(2, logs[i]); });
+  for (std::size_t i = 0; i < std::size(logs); ++i) {
+    const MitigationCost& c = log_cost[i];
+    std::printf("%8s %14llu %14llu %10llu\n", logs[i] ? "on" : "off",
                 static_cast<unsigned long long>(c.completion),
                 static_cast<unsigned long long>(c.obfuscated_attempts),
                 static_cast<unsigned long long>(c.log_hits));
@@ -309,10 +329,14 @@ int main() {
               "(no mitigation, single TASP)\n");
   std::printf("%14s %16s %17s %9s %12s\n", "scheme", "healthy(p/100c)",
               "attacked(p/100c)", "blocked", "cores_full");
-  for (const auto scheme : {RetransmissionScheme::kOutputBuffer,
-                            RetransmissionScheme::kPerVcBuffer}) {
-    const BlastRadius b = blast_radius(scheme);
-    std::printf("%14s %16llu %17llu %9d %12d\n", to_string(scheme).c_str(),
+  const RetransmissionScheme schemes[] = {RetransmissionScheme::kOutputBuffer,
+                                          RetransmissionScheme::kPerVcBuffer};
+  const auto blasts = bench::parallel_map(
+      std::size(schemes), jobs,
+      [&](std::size_t i) { return blast_radius(schemes[i]); });
+  for (std::size_t i = 0; i < std::size(schemes); ++i) {
+    const BlastRadius& b = blasts[i];
+    std::printf("%14s %16llu %17llu %9d %12d\n", to_string(schemes[i]).c_str(),
                 static_cast<unsigned long long>(b.healthy_rate_x100),
                 static_cast<unsigned long long>(b.attacked_rate_x100),
                 b.blocked, b.cores_full);
@@ -325,13 +349,15 @@ int main() {
   std::printf("\n6) routing algorithm under attack + L-Ob (3x load)\n");
   std::printf("%12s %8s %14s %10s\n", "routing", "attack", "T_done(cyc)",
               "avg_lat");
-  for (const bool adaptive : {false, true}) {
-    for (const bool attack : {false, true}) {
-      const RoutingRun r = routing_run(adaptive, attack);
-      std::printf("%12s %8s %14llu %10.1f\n",
-                  adaptive ? "west_first" : "xy", attack ? "yes" : "no",
-                  static_cast<unsigned long long>(r.cycles), r.avg_latency);
-    }
+  // Index i: adaptive = i / 2, attack = i % 2 (x-y first, unattacked first).
+  const auto routing = bench::parallel_map(4, jobs, [](std::size_t i) {
+    return routing_run(i / 2 == 1, i % 2 == 1);
+  });
+  for (std::size_t i = 0; i < routing.size(); ++i) {
+    const RoutingRun& r = routing[i];
+    std::printf("%12s %8s %14llu %10.1f\n",
+                i / 2 == 1 ? "west_first" : "xy", i % 2 == 1 ? "yes" : "no",
+                static_cast<unsigned long long>(r.cycles), r.avg_latency);
   }
   std::printf("\n7) detection race: threat detector vs latency auditor "
               "(NOCS'15 baseline)\n");
@@ -355,17 +381,22 @@ int main() {
   std::printf("\n8) link ECC scheme x trojan payload: attack outcome matrix\n");
   std::printf("%10s | %14s %14s %14s\n", "link ECC", "1-bit payload",
               "2-bit payload", "3-bit payload");
-  for (const auto scheme :
-       {EccScheme::kSecded, EccScheme::kParity, EccScheme::kNone}) {
-    const EccOutcome one =
-        ecc_outcome(scheme, trojan::PayloadPattern::kSingleCorrectable);
-    const EccOutcome two =
-        ecc_outcome(scheme, trojan::PayloadPattern::kDoubleDetectable);
-    const EccOutcome three =
-        ecc_outcome(scheme, trojan::PayloadPattern::kTripleSdc);
-    std::printf("%10s | %14s %14s %14s\n", to_string(scheme).c_str(),
-                classify_outcome(one), classify_outcome(two),
-                classify_outcome(three));
+  const EccScheme codes[] = {EccScheme::kSecded, EccScheme::kParity,
+                             EccScheme::kNone};
+  const trojan::PayloadPattern payloads[] = {
+      trojan::PayloadPattern::kSingleCorrectable,
+      trojan::PayloadPattern::kDoubleDetectable,
+      trojan::PayloadPattern::kTripleSdc};
+  const auto outcomes = bench::parallel_map(
+      std::size(codes) * std::size(payloads), jobs, [&](std::size_t i) {
+        return ecc_outcome(codes[i / std::size(payloads)],
+                           payloads[i % std::size(payloads)]);
+      });
+  for (std::size_t c = 0; c < std::size(codes); ++c) {
+    const EccOutcome* row = &outcomes[c * std::size(payloads)];
+    std::printf("%10s | %14s %14s %14s\n", to_string(codes[c]).c_str(),
+                classify_outcome(row[0]), classify_outcome(row[1]),
+                classify_outcome(row[2]));
   }
   std::printf("(the paper's TASP is the secded/2-bit cell; every other cell "
               "is what an attacker tuned to a different code would get)\n\n");

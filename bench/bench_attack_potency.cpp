@@ -4,7 +4,11 @@
 //   2. If the attacker places trojans on random links (because primary-core
 //      locations vary at runtime), what is the probability of sighting the
 //      target within a deadline, per target kind?
+//
+// Every simulation is an independent run fanned out over `--jobs N` /
+// $HTNOC_JOBS workers; the printed tables are identical for any count.
 #include <cstdio>
+#include <iterator>
 
 #include "bench_common.hpp"
 
@@ -78,54 +82,43 @@ PotencyResult run_with_n_trojans(int n) {
   return res;
 }
 
-/// Probability that a TASP on a uniformly random mesh link sights its
-/// target within `deadline` cycles of enabling, estimated by running every
-/// link once (the traffic is deterministic per seed).
-double sighting_probability(trojan::TargetKind kind, Cycle deadline) {
-  NocConfig cfg;
-  Network net(cfg);
-  const auto links = net.all_links();
-  int sighted = 0;
-  // One network with a dormant-then-enabled trojan per link would have the
-  // trojans interfere (they all inject); instead attach pure snoop-style
-  // TASPs with an impossible-to-satisfy... simpler: run one simulation per
-  // link with a single trojan and count sightings. Deterministic traffic
-  // makes this an exact coverage measure rather than an estimate.
-  for (const LinkRef& l : links) {
-    sim::SimConfig sc;
-    sim::AttackSpec a;
-    a.link = l;
-    a.tasp.kind = kind;
-    a.tasp.target_dest = 0;
-    a.tasp.target_src = 15;  // dest_src hunts the far-corner -> primary flow
-    a.tasp.target_vc = 0;
-    a.tasp.target_mem = traffic::blackscholes_profile().mem_base;
-    a.tasp.mem_mask = 0xF0000000u;
-    a.tasp.min_gap = 1000000000ULL;  // sight, never strike (pure recon)
-    a.enable_killsw_at = 0;
-    sc.attacks.push_back(a);
-    sim::Simulator simulator(std::move(sc));
-    Network& n2 = simulator.network();
-    traffic::DeliveryDispatcher disp;
-    disp.install(n2);
-    traffic::AppTrafficModel model(n2.geometry(),
-                                   traffic::blackscholes_profile());
-    traffic::TrafficGenerator::Params gp;
-    gp.seed = 5;
-    traffic::TrafficGenerator gen(n2, model, gp, disp);
-    for (Cycle c = 0; c < deadline; ++c) {
-      gen.step();
-      simulator.step();
-    }
-    if (simulator.tasp(0).stats().target_sightings > 0) ++sighted;
+/// Target sightings of a lone TASP on `link` within `deadline` cycles of
+/// enabling, under Blackscholes traffic.
+std::uint64_t target_sightings(trojan::TargetKind kind, LinkRef link,
+                               Cycle deadline) {
+  sim::SimConfig sc;
+  sim::AttackSpec a;
+  a.link = link;
+  a.tasp.kind = kind;
+  a.tasp.target_dest = 0;
+  a.tasp.target_src = 15;  // dest_src hunts the far-corner -> primary flow
+  a.tasp.target_vc = 0;
+  a.tasp.target_mem = traffic::blackscholes_profile().mem_base;
+  a.tasp.mem_mask = 0xF0000000u;
+  a.tasp.min_gap = 1000000000ULL;  // sight, never strike (pure recon)
+  a.enable_killsw_at = 0;
+  sc.attacks.push_back(a);
+  sim::Simulator simulator(std::move(sc));
+  Network& net = simulator.network();
+  traffic::DeliveryDispatcher disp;
+  disp.install(net);
+  traffic::AppTrafficModel model(net.geometry(),
+                                 traffic::blackscholes_profile());
+  traffic::TrafficGenerator::Params gp;
+  gp.seed = 5;
+  traffic::TrafficGenerator gen(net, model, gp, disp);
+  for (Cycle c = 0; c < deadline; ++c) {
+    gen.step();
+    simulator.step();
   }
-  return static_cast<double>(sighted) / static_cast<double>(links.size());
+  return simulator.tasp(0).stats().target_sightings;
 }
 
 }  // namespace
 
-int main() {
+int main(int argc, char** argv) {
   using namespace htnoc;
+  const int jobs = bench::parse_jobs(argc, argv);
   bench::print_header("Attack potency (Sec. III)",
                       "trojan count, abruptness, random-placement odds");
 
@@ -133,9 +126,13 @@ int main() {
               "(dest-0 targeted, best sites first):\n");
   std::printf("%9s %24s %16s %20s\n", "trojans", "t_to_half_thruput(cyc)",
               "blocked@t+200", "cores_full@t+1500");
-  for (const int n : {1, 2, 4, 8}) {
-    const PotencyResult r = run_with_n_trojans(n);
-    std::printf("%9d %24llu %16d %20d\n", n,
+  const int counts[] = {1, 2, 4, 8};
+  const auto potency = bench::parallel_map(
+      std::size(counts), jobs,
+      [&](std::size_t i) { return run_with_n_trojans(counts[i]); });
+  for (std::size_t i = 0; i < std::size(counts); ++i) {
+    const PotencyResult& r = potency[i];
+    std::printf("%9d %24llu %16d %20d\n", counts[i],
                 static_cast<unsigned long long>(r.cycles_to_half_throughput),
                 r.blocked_at_200, r.cores_full_at_1500);
   }
@@ -145,12 +142,28 @@ int main() {
   std::printf("\n2) Probability a randomly placed TASP sights its target "
               "within 2000 cycles (Blackscholes traffic):\n");
   std::printf("%10s %12s\n", "target", "P(sight)");
-  for (const auto kind :
-       {trojan::TargetKind::kDest, trojan::TargetKind::kSrc,
-        trojan::TargetKind::kDestSrc, trojan::TargetKind::kMem,
-        trojan::TargetKind::kVc}) {
-    std::printf("%10s %11.0f%%\n", trojan::to_string(kind).c_str(),
-                100.0 * sighting_probability(kind, 2000));
+  // One single-trojan run per (kind, link), since trojans sharing a network
+  // would interfere, and deterministic traffic makes the sighted fraction
+  // an exact coverage measure rather than an estimate.
+  const trojan::TargetKind kinds[] = {
+      trojan::TargetKind::kDest, trojan::TargetKind::kSrc,
+      trojan::TargetKind::kDestSrc, trojan::TargetKind::kMem,
+      trojan::TargetKind::kVc};
+  const std::vector<LinkRef> links = Network(NocConfig{}).all_links();
+  const auto sightings = bench::parallel_map(
+      std::size(kinds) * links.size(), jobs, [&](std::size_t i) {
+        return target_sightings(kinds[i / links.size()],
+                                links[i % links.size()], 2000);
+      });
+  for (std::size_t k = 0; k < std::size(kinds); ++k) {
+    int sighted = 0;
+    for (std::size_t l = 0; l < links.size(); ++l) {
+      if (sightings[k * links.size() + l] > 0) ++sighted;
+    }
+    const double p =
+        static_cast<double>(sighted) / static_cast<double>(links.size());
+    std::printf("%10s %11.0f%%\n", trojan::to_string(kinds[k]).c_str(),
+                100.0 * p);
   }
   std::printf("(paper: random placement still has a high probability of "
               "sniffing the intended target — wider comparators sight less "

@@ -3,30 +3,60 @@
 // prints the corresponding rows/series to stdout.
 #pragma once
 
+#include <cerrno>
+#include <climits>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 #include "sim/simulator.hpp"
+#include "sweep/runner.hpp"
 #include "traffic/generator.hpp"
 
 namespace htnoc::bench {
 
-/// Worker-thread count for sweep-based benches: `--jobs N` / `--jobs=N` on
-/// the command line, else 0 (the sweep engine then consults $HTNOC_JOBS and
-/// finally hardware_concurrency).
+/// Worker-thread count for the multi-run benches: `--jobs N` / `--jobs=N`
+/// on the command line, else 0. Any integer <= 0 means auto ($HTNOC_JOBS,
+/// then the core count; see SweepRunner::resolve_threads). A missing or
+/// non-integer value exits with status 2.
 inline int parse_jobs(int argc, char** argv) {
+  const auto parse = [&](const char* text) {
+    char* end = nullptr;
+    errno = 0;
+    const long v = std::strtol(text, &end, 10);
+    if (end == text || *end != '\0' || errno == ERANGE || v < INT_MIN ||
+        v > INT_MAX) {
+      std::fprintf(stderr, "usage: %s [--jobs N] (N an integer, <= 0: auto)\n",
+                   argv[0]);
+      std::exit(2);
+    }
+    return static_cast<int>(v);
+  };
   for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--jobs") == 0 && i + 1 < argc) {
-      return std::atoi(argv[i + 1]);
+    if (std::strcmp(argv[i], "--jobs") == 0) {
+      return parse(i + 1 < argc ? argv[i + 1] : "");
     }
-    if (std::strncmp(argv[i], "--jobs=", 7) == 0) {
-      return std::atoi(argv[i] + 7);
-    }
+    if (std::strncmp(argv[i], "--jobs=", 7) == 0) return parse(argv[i] + 7);
   }
   return 0;
+}
+
+/// fn(i) for every i in [0, n), fanned out over `jobs` workers (resolved
+/// like the sweep benches' --jobs) on sweep::fan_out, returned in index
+/// order — so whatever is printed from the results is identical for any
+/// worker count. Each fn(i) must own its simulation state and not throw.
+template <typename Fn>
+auto parallel_map(std::size_t n, int jobs, const Fn& fn) {
+  using R = decltype(fn(std::size_t{}));
+  static_assert(!std::is_same_v<R, bool>,
+                "std::vector<bool> packs slots into shared words");
+  std::vector<R> out(n);
+  sweep::fan_out(n, sweep::SweepRunner::resolve_threads(jobs, n),
+                 [&](std::size_t i) { out[i] = fn(i); });
+  return out;
 }
 
 /// The attack configuration used across the network-behaviour benches:

@@ -3,12 +3,14 @@
 #
 #   scripts/run_all.sh [--jobs N] [--trace DIR] [build-dir]
 #
-# --jobs N controls build/ctest parallelism AND the sweep-based bench
-# drivers (exported as HTNOC_JOBS; results are bit-identical for any N).
+# --jobs N controls build/ctest parallelism AND every multi-run bench
+# (exported as HTNOC_JOBS; bench output is byte-identical for any N).
 # --trace DIR additionally captures an event trace of each bench scenario
 # and writes per-scenario forensic timelines plus Perfetto-loadable JSON
 # into DIR (see docs/OBSERVABILITY.md).
-# Outputs: <build-dir>, test_output.txt, bench_output.txt in the repo root.
+# Outputs: <build-dir>, test_output.txt, bench_output.txt and
+# bench_timing.json (wall seconds per bench binary, kept out of
+# bench_output.txt so that file stays comparable) in the repo root.
 set -euo pipefail
 
 repo_root="$(cd "$(dirname "$0")/.." && pwd)"
@@ -35,7 +37,7 @@ while [ $# -gt 0 ]; do
       shift
       ;;
     -h|--help)
-      sed -n '2,11p' "$0"
+      sed -n '2,13p' "$0"
       exit 0
       ;;
     *)
@@ -52,13 +54,24 @@ cmake --build "$build_dir" -j "$jobs"
 
 ctest --test-dir "$build_dir" -j "$jobs" 2>&1 | tee "$repo_root/test_output.txt"
 
+timing="$repo_root/bench_timing.json"
 {
+  sep=""
+  printf '{"jobs": %s, "wall_s": {' "$jobs" > "$timing"
+  phase_start=$EPOCHREALTIME
   for b in "$build_dir"/bench/*; do
     if [ -f "$b" ] && [ -x "$b" ]; then
       echo "===== $(basename "$b") ====="
+      start=$EPOCHREALTIME
       "$b"
+      awk -v n="$(basename "$b")" -v s="$start" -v e="$EPOCHREALTIME" \
+        -v sep="$sep" 'BEGIN { printf "%s\n  \"%s\": %.3f", sep, n, e - s }' \
+        >> "$timing"
+      sep=","
     fi
   done
+  awk -v s="$phase_start" -v e="$EPOCHREALTIME" \
+    'BEGIN { printf "\n}, \"total_s\": %.3f}\n", e - s }' >> "$timing"
 } 2>&1 | tee "$repo_root/bench_output.txt"
 
 if [ -n "$trace_dir" ]; then
@@ -76,4 +89,4 @@ if [ -n "$trace_dir" ]; then
   ls "$trace_dir"/*.timeline.txt
 fi
 
-echo "done: test_output.txt and bench_output.txt written to $repo_root"
+echo "done: test_output.txt, bench_output.txt and bench_timing.json written to $repo_root"

@@ -1,5 +1,6 @@
 #include "sweep/runner.hpp"
 
+#include <algorithm>
 #include <atomic>
 #include <cmath>
 #include <cstdlib>
@@ -99,10 +100,6 @@ std::vector<GridSummary> aggregate(const std::vector<RunResult>& runs) {
     out.push_back(std::move(gs));
   }
   return out;
-}
-
-int SweepRunner::resolve_threads(int requested, std::size_t num_runs) {
-  return resolve_threads(requested, num_runs, 1);
 }
 
 int SweepRunner::resolve_threads(int requested, std::size_t num_runs,
@@ -222,64 +219,68 @@ RunResult SweepRunner::run_single(const SweepSpec& spec, const RunSpec& rs) {
   return res;
 }
 
-SweepResult SweepRunner::run(const SweepSpec& spec) const {
-  std::vector<RunSpec> runs = expand(spec);
-  SweepResult out;
-  out.runs.resize(runs.size());
-  const int nthreads = resolve_threads(opts_.num_threads, runs.size(),
-                                       spec.base.noc.step_threads);
-  out.threads_used = nthreads;
-
-  // Index-addressed result slots + an atomic work cursor: no ordering or
-  // locking anywhere, and the output is independent of the schedule.
+std::size_t fan_out(
+    std::size_t n, int threads, const std::function<void(std::size_t)>& body,
+    const std::function<bool()>& should_stop,
+    const std::function<void(std::size_t, std::size_t)>& progress) {
+  // Index-addressed work + one atomic cursor: no ordering or locking
+  // anywhere, so what each index computes is independent of the schedule.
   std::atomic<std::size_t> cursor{0};
   std::atomic<std::size_t> done{0};
-  std::atomic<bool> stopped{false};
   auto worker = [&]() {
     for (;;) {
-      // Cooperative cancellation at run granularity: the stop token is
-      // polled before a claim, never mid-run, so every claimed run
-      // finishes whole and the claimed set stays the prefix [0, cursor).
-      if (opts_.should_stop && opts_.should_stop()) {
-        stopped.store(true, std::memory_order_relaxed);
-        return;
-      }
+      // Polled before a claim, never mid-item: every claimed index
+      // finishes, so the claimed set stays the prefix [0, cursor).
+      if (should_stop && should_stop()) return;
       const std::size_t i = cursor.fetch_add(1, std::memory_order_relaxed);
-      if (i >= runs.size()) return;
-      try {
-        out.runs[i] = run_single(spec, runs[i]);
-      } catch (const std::exception& e) {
-        out.runs[i].spec = runs[i];
-        out.runs[i].ok = false;
-        out.runs[i].error = e.what();
-      } catch (...) {
-        out.runs[i].spec = runs[i];
-        out.runs[i].ok = false;
-        out.runs[i].error = "unknown exception";
-      }
-      if (opts_.progress) {
-        opts_.progress(done.fetch_add(1, std::memory_order_relaxed) + 1,
-                       runs.size());
+      if (i >= n) return;
+      body(i);
+      if (progress) {
+        progress(done.fetch_add(1, std::memory_order_relaxed) + 1, n);
       }
     }
   };
 
-  if (nthreads == 1) {
+  const std::size_t workers =
+      std::min(static_cast<std::size_t>(std::max(threads, 1)),
+               std::max<std::size_t>(n, 1));
+  if (workers == 1) {
     worker();
   } else {
     std::vector<std::thread> pool;
-    pool.reserve(static_cast<std::size_t>(nthreads));
-    for (int t = 0; t < nthreads; ++t) pool.emplace_back(worker);
+    pool.reserve(workers);
+    for (std::size_t t = 0; t < workers; ++t) pool.emplace_back(worker);
     for (std::thread& t : pool) t.join();
   }
+  // Without a stop every worker leaves only after claiming past the end.
+  return std::min(cursor.load(std::memory_order_relaxed), n);
+}
 
-  if (stopped.load(std::memory_order_relaxed)) {
-    // Every claimed index is < cursor and every index < cursor was claimed
-    // (and has finished, since workers re-poll only between runs), so the
-    // completed work is exactly this prefix.
+SweepResult SweepRunner::run(const SweepSpec& spec) const {
+  const std::vector<RunSpec> runs = expand(spec);
+  SweepResult out;
+  out.runs.resize(runs.size());
+  out.threads_used = resolve_threads(opts_.num_threads, runs.size(),
+                                     spec.base.noc.step_threads);
+  const std::size_t claimed = fan_out(
+      runs.size(), out.threads_used,
+      [&](std::size_t i) {
+        try {
+          out.runs[i] = run_single(spec, runs[i]);
+        } catch (const std::exception& e) {
+          out.runs[i].spec = runs[i];
+          out.runs[i].ok = false;
+          out.runs[i].error = e.what();
+        } catch (...) {
+          out.runs[i].spec = runs[i];
+          out.runs[i].ok = false;
+          out.runs[i].error = "unknown exception";
+        }
+      },
+      opts_.should_stop, opts_.progress);
+  if (claimed < runs.size()) {
     out.cancelled = true;
-    out.runs.resize(std::min(cursor.load(std::memory_order_relaxed),
-                             runs.size()));
+    out.runs.resize(claimed);
   }
   out.summary = aggregate(out.runs);
   return out;

@@ -3,7 +3,8 @@
 // the RunSpec), workers claim runs off a lock-free atomic cursor, and every
 // result is written into a pre-allocated slot addressed by run index — so
 // the result vector, the aggregates and the serialized output are
-// byte-identical whether the sweep ran on 1 thread or 64.
+// byte-identical whether the sweep ran on 1 thread or 64. The claim loop
+// itself is fan_out(), which FaultCampaign and the paper benches share.
 #pragma once
 
 #include <cstdint>
@@ -102,6 +103,21 @@ struct SweepResult {
 [[nodiscard]] std::vector<GridSummary> aggregate(
     const std::vector<RunResult>& runs);
 
+/// Run body(i) for every index in [0, n) on `threads` workers (clamped to
+/// [1, n]) that claim indices off one atomic cursor, and return the length
+/// of the claimed prefix: n, unless `should_stop` ended the loop early.
+/// `should_stop` is polled on the worker thread right before each claim and
+/// `progress(done, n)` is called on the same thread right after that item's
+/// body returns, so the pair brackets exactly one item (perfbench times
+/// runs this way). A stop is honoured only between items: every claimed
+/// index finishes, so the completed set is always the prefix [0, k). Both
+/// hooks are called from worker threads, possibly concurrently, and must be
+/// thread-safe. `body` must not throw; callers contain errors per item.
+std::size_t fan_out(
+    std::size_t n, int threads, const std::function<void(std::size_t)>& body,
+    const std::function<bool()>& should_stop = nullptr,
+    const std::function<void(std::size_t, std::size_t)>& progress = nullptr);
+
 class SweepRunner {
  public:
   struct Options {
@@ -113,25 +129,16 @@ class SweepRunner {
     int num_threads = 0;
 
     /// Invoked after each run finishes with (runs completed so far, total
-    /// runs). Called from worker threads, possibly concurrently — the
-    /// callee synchronizes. Purely observational: it must not (and cannot)
-    /// affect results, which stay byte-identical with or without it. The
-    /// repository benchmark (perfbench/) times each run from this hook and
-    /// `should_stop`.
+    /// runs); see fan_out() for the thread and ordering contract. Purely
+    /// observational: results stay byte-identical with or without it.
     std::function<void(std::size_t, std::size_t)> progress = nullptr;
 
-    /// Cooperative stop token, polled before each run is claimed (run
-    /// granularity: a run in flight always finishes whole). When it returns
-    /// true, no further runs start, the claimed prefix completes, and the
+    /// Cooperative stop token, polled before each run is claimed (see
+    /// fan_out()). Once it returns true no further runs start, and the
     /// result comes back with `cancelled == true` and `runs` truncated to
-    /// that prefix. Called from worker threads, possibly concurrently — it
-    /// must be thread-safe (typically a load of an std::atomic<bool>). Like
-    /// `progress` it is not part of the spec document (the spec codec
-    /// never sees it). Because workers claim run indices off a single
-    /// atomic cursor, the completed set is always the exact prefix [0, k)
-    /// — so a cancelled sweep's emitted artifacts for a fixed stop point k
-    /// are byte-identical to a sweep over the first k runs (locked by
-    /// tests/test_sweep_engine.cpp).
+    /// the claimed prefix [0, k) — byte-identical to a sweep over the first
+    /// k runs (locked by tests/test_sweep_engine.cpp). Like `progress` it
+    /// is not part of the spec document.
     std::function<bool()> should_stop = nullptr;
   };
 
@@ -139,17 +146,13 @@ class SweepRunner {
   explicit SweepRunner(Options opts) : opts_(opts) {}
 
   /// Resolve a requested thread count against the environment and the
-  /// amount of work (exposed for tests).
-  [[nodiscard]] static int resolve_threads(int requested,
-                                           std::size_t num_runs);
-
-  /// As above, composed with intra-run stepping parallelism: when the
-  /// run-level count is auto-resolved from the hardware, it is divided by
-  /// `step_threads` so jobs × step_threads stays within the core budget.
-  /// Explicit requests (> 0, or $HTNOC_JOBS) are honored unchanged.
+  /// amount of work: `requested` if > 0, else $HTNOC_JOBS, else
+  /// hardware_concurrency divided by `step_threads` (so jobs × step_threads
+  /// stays within the core budget; explicit requests pass unchanged).
+  /// Clamped to [1, num_runs] when there is work.
   [[nodiscard]] static int resolve_threads(int requested,
                                            std::size_t num_runs,
-                                           int step_threads);
+                                           int step_threads = 1);
 
   /// Expand and execute the whole sweep. A run that throws is recorded in
   /// its slot (ok == false, error set); the remaining runs still execute.

@@ -1,14 +1,12 @@
 #include "verify/campaign.hpp"
 
 #include <algorithm>
-#include <atomic>
 #include <cmath>
 #include <iomanip>
 #include <iterator>
 #include <map>
 #include <memory>
 #include <sstream>
-#include <thread>
 
 #include "common/expect.hpp"
 #include "common/rng.hpp"
@@ -559,9 +557,8 @@ CampaignResult FaultCampaign::run() const {
       spec_.scenarios / spec_.shard_count +
       (spec_.shard_index < spec_.scenarios % spec_.shard_count ? 1 : 0);
   out.scenarios.resize(static_cast<std::size_t>(local));
-  const int nthreads = sweep::SweepRunner::resolve_threads(
+  out.threads_used = sweep::SweepRunner::resolve_threads(
       spec_.threads, static_cast<std::size_t>(local), spec_.step_threads);
-  out.threads_used = nthreads;
 
   // One warmup snapshot serves the whole campaign; workers restore from it
   // concurrently (load_snapshot only reads the blob).
@@ -570,44 +567,20 @@ CampaignResult FaultCampaign::run() const {
   const std::vector<std::uint8_t>* warmup_ptr =
       spec_.warmup_cycles > 0 ? &warmup : nullptr;
 
-  std::atomic<std::uint64_t> cursor{0};
-  std::atomic<std::uint64_t> done{0};
-  std::atomic<bool> stopped{false};
-  auto worker = [&]() {
-    for (;;) {
-      // Stop token polled only between scenarios: a claimed scenario always
-      // finishes whole, and the claimed set stays the prefix [0, cursor).
-      if (spec_.should_stop && spec_.should_stop()) {
-        stopped.store(true, std::memory_order_relaxed);
-        return;
-      }
-      const std::uint64_t k = cursor.fetch_add(1, std::memory_order_relaxed);
-      if (k >= local) return;
-      const std::uint64_t global = spec_.shard_index + k * spec_.shard_count;
-      out.scenarios[static_cast<std::size_t>(k)] =
-          run_scenario_guarded(spec_, global, warmup_ptr);
-      if (spec_.progress) {
-        spec_.progress(done.fetch_add(1, std::memory_order_relaxed) + 1,
-                       local);
-      }
-    }
-  };
-  if (nthreads == 1) {
-    worker();
-  } else {
-    std::vector<std::thread> pool;
-    pool.reserve(static_cast<std::size_t>(nthreads));
-    for (int t = 0; t < nthreads; ++t) pool.emplace_back(worker);
-    for (std::thread& t : pool) t.join();
-  }
-  if (stopped.load(std::memory_order_relaxed)) {
+  const std::size_t claimed = sweep::fan_out(
+      out.scenarios.size(), out.threads_used,
+      [&](std::size_t k) {
+        const std::uint64_t global = spec_.shard_index + k * spec_.shard_count;
+        out.scenarios[k] = run_scenario_guarded(spec_, global, warmup_ptr);
+      },
+      spec_.should_stop, spec_.progress);
+  if (claimed < out.scenarios.size()) {
     // Truncating to the claimed prefix makes a cancelled campaign's summary
     // a pure function of the stop point: scenario draws depend only on
-    // (seed, index), so the summary equals that of a `cursor`-scenario
+    // (seed, index), so the summary equals that of a `claimed`-scenario
     // campaign with the same seed (locked by tests/test_campaign_determinism).
     out.cancelled = true;
-    out.scenarios.resize(static_cast<std::size_t>(std::min<std::uint64_t>(
-        cursor.load(std::memory_order_relaxed), local)));
+    out.scenarios.resize(claimed);
   }
   return out;
 }

@@ -5,10 +5,10 @@
 // auditor armed. A failing scenario yields a minimal repro spec
 // (seed + scenario index) that replays the exact simulation.
 //
-// Built on the PR-1 sweep engine's determinism primitives: per-scenario
-// seeds come from sweep::derive_run_seed / mix_seed, threads claim work off
-// an atomic cursor, and results land in index-addressed slots — so the
-// campaign summary is byte-identical at any thread count.
+// Built on the sweep engine's determinism primitives: per-scenario seeds
+// come from sweep::derive_run_seed / mix_seed, scenarios are claimed off
+// sweep::fan_out's atomic cursor, and results land in index-addressed slots
+// — so the campaign summary is byte-identical at any thread count.
 #pragma once
 
 #include <cstdint>
@@ -65,17 +65,15 @@ struct CampaignSpec {
   /// kMesh), uniformly.
   std::vector<TopologyKind> topologies;
   /// Invoked after each scenario finishes with (scenarios completed so far,
-  /// total scenarios). Called from worker threads, possibly concurrently —
-  /// the callee synchronizes. Observational only; results are byte-identical
-  /// with or without it. Not part of the spec document (campaign_json.cpp
-  /// never serializes it) and ignored by comparisons.
+  /// total scenarios); see sweep::fan_out() for the thread and ordering
+  /// contract. Observational only; results are byte-identical with or
+  /// without it. Not part of the spec document (campaign_json.cpp never
+  /// serializes it) and ignored by comparisons.
   std::function<void(std::uint64_t, std::uint64_t)> progress = nullptr;
-  /// Cooperative stop token, polled before each scenario is claimed
-  /// (scenario granularity: a scenario in flight always finishes whole).
-  /// When it returns true the campaign ends early: the claimed prefix of
-  /// scenario indices completes and the result carries `cancelled == true`
-  /// with `scenarios` truncated to that prefix. Must be thread-safe
-  /// (typically an std::atomic<bool> load). Like `progress`, an execution
+  /// Cooperative stop token, polled before each scenario is claimed (see
+  /// sweep::fan_out()). Once it returns true the claimed prefix of scenario
+  /// indices completes and the result carries `cancelled == true` with
+  /// `scenarios` truncated to that prefix. Like `progress`, an execution
   /// hook, not a scenario parameter: never serialized by campaign_json.cpp
   /// and it cannot perturb the draw sequence — a campaign cancelled after
   /// k scenarios summarizes byte-identically to a k-scenario campaign of

@@ -1,11 +1,15 @@
 // Unit coverage for the sweep engine: grid expansion and seeding,
-// aggregation math, worker-count resolution, and error containment when a
-// run throws mid-sweep.
+// aggregation math, worker-count resolution, the fan_out claim loop, and
+// error containment when a run throws mid-sweep.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cmath>
+#include <mutex>
+#include <numeric>
 #include <set>
+#include <vector>
 
 #include "common/expect.hpp"
 #include "sweep/emit.hpp"
@@ -190,6 +194,84 @@ TEST(SweepRunner, WorkerCountResolution) {
   EXPECT_EQ(sweep::SweepRunner::resolve_threads(-2, 1), 1);
   EXPECT_EQ(sweep::SweepRunner::resolve_threads(8, 0), 8)
       << "zero runs: any positive count is fine";
+}
+
+TEST(FanOut, EveryIndexRunsExactlyOnce) {
+  for (const int threads : {1, 2, 8}) {
+    for (const std::size_t n : {0, 1, 37}) {
+      std::vector<std::atomic<int>> hits(n);
+      const std::size_t claimed = sweep::fan_out(
+          n, threads, [&hits](std::size_t i) { hits[i].fetch_add(1); });
+      EXPECT_EQ(claimed, n) << "threads=" << threads;
+      for (std::size_t i = 0; i < n; ++i) {
+        EXPECT_EQ(hits[i].load(), 1) << "threads=" << threads << " i=" << i;
+      }
+    }
+  }
+}
+
+TEST(FanOut, StopAfterKClaimsRunsExactlyThePrefix) {
+  // The token answers "go" to its first k polls only; every poll that says
+  // go is followed by a claim, so exactly k indices are claimed whatever
+  // the thread count, and they are the prefix [0, k).
+  constexpr std::size_t kN = 37;
+  constexpr std::size_t kStop = 5;
+  for (const int threads : {1, 2, 8}) {
+    std::atomic<std::size_t> polls{0};
+    std::vector<std::atomic<int>> hits(kN);
+    const std::size_t claimed = sweep::fan_out(
+        kN, threads, [&hits](std::size_t i) { hits[i].fetch_add(1); },
+        [&polls] { return polls.fetch_add(1) >= kStop; });
+    EXPECT_EQ(claimed, kStop) << "threads=" << threads;
+    for (std::size_t i = 0; i < kN; ++i) {
+      EXPECT_EQ(hits[i].load(), i < kStop ? 1 : 0)
+          << "threads=" << threads << " i=" << i;
+    }
+  }
+}
+
+// Per-thread hook trace for the ordering test: a poll, then at most one
+// item, then that item's progress call, all on one thread.
+struct HookTrace {
+  bool polled = false;
+  bool ran_item = false;
+};
+thread_local HookTrace tls_hooks;
+
+TEST(FanOut, ProgressFollowsEachItemOnItsPollingThread) {
+  constexpr std::size_t kN = 37;
+  for (const int threads : {1, 2, 8}) {
+    tls_hooks = {};  // the calling thread is the worker when threads == 1
+    std::atomic<int> violations{0};
+    std::mutex mu;
+    std::vector<std::size_t> dones;
+    const std::size_t claimed = sweep::fan_out(
+        kN, threads,
+        [&violations](std::size_t) {
+          if (!tls_hooks.polled || tls_hooks.ran_item) ++violations;
+          tls_hooks.ran_item = true;
+        },
+        [&violations] {
+          if (tls_hooks.ran_item) ++violations;  // last item had no progress
+          tls_hooks.polled = true;
+          return false;
+        },
+        [&](std::size_t done, std::size_t total) {
+          if (!tls_hooks.polled || !tls_hooks.ran_item || total != kN) {
+            ++violations;
+          }
+          tls_hooks = {};
+          const std::lock_guard<std::mutex> lock(mu);
+          dones.push_back(done);
+        });
+    EXPECT_EQ(claimed, kN);
+    EXPECT_EQ(violations.load(), 0) << "threads=" << threads;
+    // Once per item, counting 1..n, so the last call reports (n, n).
+    std::sort(dones.begin(), dones.end());
+    std::vector<std::size_t> expected(kN);
+    std::iota(expected.begin(), expected.end(), std::size_t{1});
+    EXPECT_EQ(dones, expected) << "threads=" << threads;
+  }
 }
 
 TEST(SweepRunner, ExceptionMidSweepIsContained) {
