@@ -389,4 +389,10 @@ std::uint64_t as_uint64(const Value& v) {
   throw TypeError("expected unsigned integer, got " + v.type_name());
 }
 
+std::string hex_string(std::uint64_t v) {
+  char buf[24];
+  std::snprintf(buf, sizeof buf, "0x%llx", static_cast<unsigned long long>(v));
+  return buf;
+}
+
 }  // namespace htnoc::json

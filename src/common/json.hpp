@@ -176,4 +176,8 @@ void write(std::string& out, const Value& v, int indent = -1);
 /// (no sign, no whitespace) and fit in 64 bits; otherwise TypeError.
 [[nodiscard]] std::uint64_t as_uint64(const Value& v);
 
+/// The canonical string form the codecs write uint64 fields in ("0x7b"),
+/// read back by as_uint64.
+[[nodiscard]] std::string hex_string(std::uint64_t v);
+
 }  // namespace htnoc::json

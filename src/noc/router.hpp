@@ -1,9 +1,9 @@
 // The 5-stage virtual-channel router (paper Sec. IV, Fig. 5):
-//   BW/RC  buffer write + route computation   (InputUnit::process_arrivals + stage_rc)
+//   BW/RC  buffer write + route computation   (batched_bw + stage_rc)
 //   VA     virtual-channel allocation          (stage_va, separable, round-robin)
 //   SA     switch allocation                   (stage_sa_st, separable, round-robin)
 //   ST     switch traversal into the output / retransmission buffer
-//   LT     link traversal                      (OutputUnit::step_lt)
+//   LT     link traversal                      (batched_lt)
 //
 // Port numbering: 0..3 = N,S,E,W; 4..4+concentration-1 = local ports.
 #pragma once
@@ -41,8 +41,7 @@ class Router {
     }
   };
 
-  Router(const NocConfig& cfg, RouterId id, const RoutingFunction* routing,
-         ArbiterKind arbiter_kind = ArbiterKind::kRoundRobin);
+  Router(const NocConfig& cfg, RouterId id, const RoutingFunction* routing);
 
   [[nodiscard]] RouterId id() const noexcept { return id_; }
   [[nodiscard]] int num_ports() const noexcept {
@@ -88,10 +87,6 @@ class Router {
   /// Compute phase: control, arrivals, RC, VA, SA/ST, LT over the staged
   /// messages. All link interactions are pushes (single writer).
   void compute(Cycle now);
-
-  /// Advance one cycle: control, arrivals, RC, VA, SA/ST, LT (serial
-  /// drain + compute).
-  void step(Cycle now);
 
   /// Active-set check: false only when stepping would provably be a no-op —
   /// no buffered flits in any input VC or scramble station, no
@@ -150,11 +145,11 @@ class Router {
   std::vector<std::unique_ptr<OutputUnit>> outputs_;
 
   // VA: one arbiter per (out_port, out_vc) over all (in_port, in_vc).
-  std::vector<std::unique_ptr<Arbiter>> va_arbiters_;
+  std::vector<RoundRobinArbiter> va_arbiters_;
   // SA stage 1: one arbiter per input port over its VCs.
-  std::vector<std::unique_ptr<Arbiter>> sa_input_arbiters_;
+  std::vector<RoundRobinArbiter> sa_input_arbiters_;
   // SA stage 2: one arbiter per output port over input ports.
-  std::vector<std::unique_ptr<Arbiter>> sa_output_arbiters_;
+  std::vector<RoundRobinArbiter> sa_output_arbiters_;
 
   // --- persistent per-cycle scratch (docs/PERFORMANCE.md) ---
   // The allocator stages and the batched ECC lanes reuse these arenas every

@@ -1,7 +1,6 @@
 #include "sweep/spec_json.hpp"
 
 #include <cmath>
-#include <cstdio>
 #include <limits>
 
 #include "common/expect.hpp"
@@ -9,23 +8,13 @@
 
 namespace htnoc::sweep {
 
-namespace {
-
-using json::Value;
+namespace spec_field {
 
 [[noreturn]] void bad(const std::string& path, const std::string& msg) {
   throw SpecError(path + ": " + msg);
 }
 
-std::string hex_string(std::uint64_t v) {
-  char buf[24];
-  std::snprintf(buf, sizeof buf, "0x%llx", static_cast<unsigned long long>(v));
-  return buf;
-}
-
-// --- typed accessors: json::TypeError re-thrown with the field path ---
-
-std::uint64_t get_u64(const Value& v, const std::string& path) {
+std::uint64_t get_u64(const json::Value& v, const std::string& path) {
   try {
     return json::as_uint64(v);
   } catch (const json::TypeError& e) {
@@ -33,7 +22,7 @@ std::uint64_t get_u64(const Value& v, const std::string& path) {
   }
 }
 
-std::uint64_t get_u64_range(const Value& v, const std::string& path,
+std::uint64_t get_u64_range(const json::Value& v, const std::string& path,
                             std::uint64_t lo, std::uint64_t hi) {
   const std::uint64_t x = get_u64(v, path);
   if (x < lo || x > hi) {
@@ -42,6 +31,17 @@ std::uint64_t get_u64_range(const Value& v, const std::string& path,
   }
   return x;
 }
+
+}  // namespace spec_field
+
+namespace {
+
+using json::Value;
+using spec_field::bad;
+using spec_field::get_u64;
+using spec_field::get_u64_range;
+
+// --- typed accessors: json::TypeError re-thrown with the field path ---
 
 int get_int_range(const Value& v, const std::string& path, int lo, int hi) {
   return static_cast<int>(
@@ -233,8 +233,8 @@ Value implant_to_json(const sim::AttackSpec& a) {
   tasp.emplace_back("dest", Value(static_cast<int>(a.tasp.target_dest)));
   tasp.emplace_back("vc", Value(static_cast<int>(a.tasp.target_vc)));
   tasp.emplace_back("thread", Value(static_cast<int>(a.tasp.target_thread)));
-  tasp.emplace_back("mem", Value(hex_string(a.tasp.target_mem)));
-  tasp.emplace_back("mem_mask", Value(hex_string(a.tasp.mem_mask)));
+  tasp.emplace_back("mem", Value(json::hex_string(a.tasp.target_mem)));
+  tasp.emplace_back("mem_mask", Value(json::hex_string(a.tasp.mem_mask)));
   tasp.emplace_back("payload_states", Value(a.tasp.payload_states));
   tasp.emplace_back("min_gap",
                     Value(static_cast<double>(a.tasp.min_gap)));
@@ -552,7 +552,7 @@ json::Value sweep_spec_to_json(const SweepSpec& spec) {
   for (const double r : spec.rate_scales) rates.emplace_back(r);
   o.emplace_back("rates", Value(std::move(rates)));
   o.emplace_back("replicates", Value(spec.replicates));
-  o.emplace_back("seed", Value(hex_string(spec.base_seed)));
+  o.emplace_back("seed", Value(json::hex_string(spec.base_seed)));
   o.emplace_back("cycles", Value(static_cast<double>(spec.run_cycles)));
   o.emplace_back("requests", Value(static_cast<double>(spec.total_requests)));
   o.emplace_back("cycle_budget",

@@ -15,6 +15,7 @@
 // files"); sweep_spec_to_json below lists every supported field.
 #pragma once
 
+#include <cstdint>
 #include <stdexcept>
 #include <string>
 
@@ -56,5 +57,20 @@ class SpecError : public std::runtime_error {
 
 [[nodiscard]] sim::MitigationMode mitigation_mode_from_string(
     const std::string& s);
+
+/// Field accessors shared by the sweep and campaign spec codecs. Every
+/// failure surfaces as SpecError("<path>: <message>").
+namespace spec_field {
+
+[[noreturn]] void bad(const std::string& path, const std::string& msg);
+/// json::as_uint64 with its TypeError re-thrown under `path`.
+[[nodiscard]] std::uint64_t get_u64(const json::Value& v,
+                                    const std::string& path);
+/// get_u64 restricted to the inclusive range [lo, hi].
+[[nodiscard]] std::uint64_t get_u64_range(const json::Value& v,
+                                          const std::string& path,
+                                          std::uint64_t lo, std::uint64_t hi);
+
+}  // namespace spec_field
 
 }  // namespace htnoc::sweep

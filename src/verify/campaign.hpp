@@ -96,6 +96,9 @@ struct ReproSpec {
 /// Parse a format_repro() line (leading/trailing text tolerated per field).
 [[nodiscard]] std::optional<ReproSpec> parse_repro(const std::string& line);
 
+/// `s` up to (not including) its first newline.
+[[nodiscard]] std::string first_line(const std::string& s);
+
 struct ScenarioResult {
   std::uint64_t index = 0;
   bool ok = false;

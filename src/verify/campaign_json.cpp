@@ -1,41 +1,13 @@
 #include "verify/campaign_json.hpp"
 
-#include <cstdio>
-
 namespace htnoc::verify {
 
 namespace {
 
 using json::Value;
-using sweep::SpecError;
-
-[[noreturn]] void bad(const std::string& path, const std::string& msg) {
-  throw SpecError(path + ": " + msg);
-}
-
-std::uint64_t get_u64(const Value& v, const std::string& path) {
-  try {
-    return json::as_uint64(v);
-  } catch (const json::TypeError& e) {
-    bad(path, e.what());
-  }
-}
-
-std::uint64_t get_u64_range(const Value& v, const std::string& path,
-                            std::uint64_t lo, std::uint64_t hi) {
-  const std::uint64_t x = get_u64(v, path);
-  if (x < lo || x > hi) {
-    bad(path, "value " + std::to_string(x) + " out of range [" +
-                  std::to_string(lo) + ", " + std::to_string(hi) + "]");
-  }
-  return x;
-}
-
-std::string hex_string(std::uint64_t v) {
-  char buf[24];
-  std::snprintf(buf, sizeof buf, "0x%llx", static_cast<unsigned long long>(v));
-  return buf;
-}
+using sweep::spec_field::bad;
+using sweep::spec_field::get_u64;
+using sweep::spec_field::get_u64_range;
 
 }  // namespace
 
@@ -104,7 +76,7 @@ CampaignSpec parse_campaign_spec(const std::string& text) {
 
 json::Value campaign_spec_to_json(const CampaignSpec& spec) {
   json::Object o;
-  o.emplace_back("seed", Value(hex_string(spec.seed)));
+  o.emplace_back("seed", Value(json::hex_string(spec.seed)));
   o.emplace_back("scenarios", Value(static_cast<double>(spec.scenarios)));
   o.emplace_back("step_threads", Value(spec.step_threads));
   o.emplace_back("audit_period",

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cctype>
-#include <cstdio>
 #include <map>
 #include <sstream>
 #include <utility>
@@ -11,21 +10,10 @@ namespace htnoc::verify {
 
 namespace {
 
-std::string first_line(const std::string& s) {
-  const auto nl = s.find('\n');
-  return nl == std::string::npos ? s : s.substr(0, nl);
-}
-
 std::string second_line(const std::string& s) {
   const auto nl = s.find('\n');
   if (nl == std::string::npos) return {};
   return first_line(s.substr(nl + 1));
-}
-
-std::string hex_string(std::uint64_t v) {
-  char buf[24];
-  std::snprintf(buf, sizeof buf, "0x%llx", static_cast<unsigned long long>(v));
-  return buf;
 }
 
 [[noreturn]] void bad(const std::string& msg) { throw MergeError(msg); }
@@ -86,7 +74,7 @@ ShardSummary summarize_shard(const CampaignResult& result) {
 
 json::Value shard_summary_to_json(const ShardSummary& s) {
   json::Object o;
-  o.emplace_back("seed", json::Value(hex_string(s.seed)));
+  o.emplace_back("seed", json::Value(json::hex_string(s.seed)));
   o.emplace_back("scenarios", json::Value(static_cast<double>(s.scenarios)));
   o.emplace_back("shard_index",
                  json::Value(static_cast<double>(s.shard_index)));

@@ -3,7 +3,8 @@
 // scenario dimensions land, or historical repro specs stop replaying the
 // failures they were filed against. The golden summary below was recorded
 // before the topology dimension existed; a default-spec campaign (no
-// topology axis configured) must reproduce it byte for byte.
+// topology axis configured) must reproduce it byte for byte. A second
+// golden pins the snapshot-forked (warmed) draw sequence the same way.
 //
 // Regenerating (only after an *intended* distribution change, with review):
 //   HTNOC_UPDATE_GOLDEN=1 ./build/tests/test_campaign_topology
@@ -29,30 +30,42 @@ verify::CampaignSpec default_spec() {
   return spec;
 }
 
-std::string golden_file() {
-  return std::string(HTNOC_GOLDEN_DIR) + "/campaign_default_summary.txt";
+/// Compare `summary` with the named golden, or rewrite the golden when
+/// HTNOC_UPDATE_GOLDEN is set.
+void expect_golden(const std::string& name, const std::string& summary) {
+  const std::string path = std::string(HTNOC_GOLDEN_DIR) + "/" + name;
+  if (std::getenv("HTNOC_UPDATE_GOLDEN") != nullptr) {
+    std::ofstream os(path);
+    ASSERT_TRUE(os) << "cannot write " << path;
+    os << summary;
+    return;
+  }
+
+  std::ifstream is(path);
+  ASSERT_TRUE(is) << "missing golden file " << path
+                  << " (regenerate with HTNOC_UPDATE_GOLDEN=1)";
+  std::stringstream want;
+  want << is.rdbuf();
+  EXPECT_EQ(want.str(), summary)
+      << "campaign distribution drifted from " << name;
 }
 
 TEST(CampaignTopologyDefault, SummaryByteIdenticalToPreTopologyGolden) {
   const verify::CampaignResult result =
       verify::FaultCampaign(default_spec()).run();
   ASSERT_EQ(result.failures(), 0u) << result.summary_text();
-  const std::string summary = result.summary_text();
+  expect_golden("campaign_default_summary.txt", result.summary_text());
+}
 
-  if (std::getenv("HTNOC_UPDATE_GOLDEN") != nullptr) {
-    std::ofstream os(golden_file());
-    ASSERT_TRUE(os) << "cannot write " << golden_file();
-    os << summary;
-    return;
-  }
-
-  std::ifstream is(golden_file());
-  ASSERT_TRUE(is) << "missing golden file " << golden_file()
-                  << " (regenerate with HTNOC_UPDATE_GOLDEN=1)";
-  std::stringstream want;
-  want << is.rdbuf();
-  EXPECT_EQ(want.str(), summary)
-      << "default campaign distribution drifted from the pre-topology record";
+TEST(CampaignTopologyDefault, WarmupSummaryByteIdenticalToGolden) {
+  // The snapshot-forked draw skips the substrate and traffic draws and
+  // shifts every scheduled cycle past the warmup window; its sequence is as
+  // much a repro contract as the cold one.
+  verify::CampaignSpec spec = default_spec();
+  spec.warmup_cycles = 200;
+  const verify::CampaignResult result = verify::FaultCampaign(spec).run();
+  ASSERT_EQ(result.failures(), 0u) << result.summary_text();
+  expect_golden("campaign_warmup_summary.txt", result.summary_text());
 }
 
 TEST(CampaignTopologyMixed, MeshAndTorusScenariosRunCleanUnderAudit) {

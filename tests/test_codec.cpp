@@ -1,7 +1,7 @@
-// The link-codec abstraction and, more importantly, the interplay between
-// the error-control scheme and the trojan's payload design: a TASP is
-// tuned to its link's ECC, and mis-tuning flips the attack's effect
-// between denial-of-service and silent corruption.
+// The three link codes behind CodecDispatch and, more importantly, the
+// interplay between the error-control scheme and the trojan's payload
+// design: a TASP is tuned to its link's ECC, and mis-tuning flips the
+// attack's effect between denial-of-service and silent corruption.
 #include "ecc/codec.hpp"
 
 #include <gtest/gtest.h>
@@ -15,18 +15,24 @@ namespace htnoc::ecc {
 namespace {
 
 TEST(Codec, FactoryReturnsNamedSchemes) {
-  EXPECT_EQ(codec_for(EccScheme::kSecded).name(), "secded");
-  EXPECT_EQ(codec_for(EccScheme::kParity).name(), "parity");
-  EXPECT_EQ(codec_for(EccScheme::kNone).name(), "none");
-  EXPECT_EQ(codec_for(EccScheme::kSecded).used_wires(), 72u);
-  EXPECT_EQ(codec_for(EccScheme::kParity).used_wires(), 65u);
-  EXPECT_EQ(codec_for(EccScheme::kNone).used_wires(), 64u);
+  EXPECT_EQ(to_string(EccScheme::kSecded), "secded");
+  EXPECT_EQ(to_string(EccScheme::kParity), "parity");
+  EXPECT_EQ(to_string(EccScheme::kNone), "none");
+  EXPECT_EQ(used_wires_for(EccScheme::kSecded), 72u);
+  EXPECT_EQ(used_wires_for(EccScheme::kParity), 65u);
+  EXPECT_EQ(used_wires_for(EccScheme::kNone), 64u);
+  for (const auto s :
+       {EccScheme::kSecded, EccScheme::kParity, EccScheme::kNone}) {
+    const CodecDispatch codec(s);
+    EXPECT_EQ(codec.scheme(), s);
+    EXPECT_EQ(codec.used_wires(), used_wires_for(s));
+  }
 }
 
 class CodecRoundTrip : public ::testing::TestWithParam<EccScheme> {};
 
 TEST_P(CodecRoundTrip, CleanEncodeDecode) {
-  const LinkCodec& codec = codec_for(GetParam());
+  const CodecDispatch codec(GetParam());
   Rng rng(3);
   for (int i = 0; i < 200; ++i) {
     const std::uint64_t d = rng.next_u64();
@@ -44,7 +50,7 @@ INSTANTIATE_TEST_SUITE_P(AllSchemes, CodecRoundTrip,
                                            EccScheme::kNone));
 
 TEST(Codec, ParityDetectsOddErrorsOnly) {
-  const LinkCodec& codec = codec_for(EccScheme::kParity);
+  const CodecDispatch codec(EccScheme::kParity);
   const std::uint64_t d = 0x0123456789ABCDEFULL;
   Codeword72 one = codec.encode(d);
   one.flip(7);
@@ -59,14 +65,14 @@ TEST(Codec, ParityDetectsOddErrorsOnly) {
 }
 
 TEST(Codec, ParityBitItselfIsCovered) {
-  const LinkCodec& codec = codec_for(EccScheme::kParity);
+  const CodecDispatch codec(EccScheme::kParity);
   Codeword72 cw = codec.encode(0xAA);
   cw.flip(64);
   EXPECT_TRUE(needs_retransmission(codec.decode(cw).status));
 }
 
 TEST(Codec, NoneNeverDetectsAnything) {
-  const LinkCodec& codec = codec_for(EccScheme::kNone);
+  const CodecDispatch codec(EccScheme::kNone);
   Codeword72 cw = codec.encode(0xFFFF);
   cw.flip(0);
   cw.flip(1);

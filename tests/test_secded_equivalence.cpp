@@ -3,11 +3,13 @@
 // identical codewords from encode, identical full DecodeResult (status,
 // data, syndrome, overall-parity flag, corrected position) over all 72
 // single-bit and all 2,556 two-bit error patterns with randomized data,
-// plus randomized higher-weight patterns. Also covers the de-virtualized
-// CodecDispatch against the polymorphic codec_for() view for every scheme.
+// plus randomized higher-weight patterns. Also covers CodecDispatch's
+// batched lane forms against its scalar calls for every scheme.
 #include "ecc/secded_reference.hpp"
 
 #include <gtest/gtest.h>
+
+#include <vector>
 
 #include "common/rng.hpp"
 #include "ecc/codec.hpp"
@@ -131,33 +133,45 @@ TEST_F(SecdedEquivalence, RandomWordsIdentical) {
   }
 }
 
-// The de-virtualized dispatch must agree with the polymorphic view that
-// on-link inspectors and older tests still use, for every scheme.
+// The batched lane forms the router uses must agree lane for lane with the
+// scalar calls, clean and with one or two flipped used wires, for every
+// scheme.
 class DispatchEquivalence : public ::testing::TestWithParam<EccScheme> {};
 
-TEST_P(DispatchEquivalence, MatchesPolymorphicCodec) {
+TEST_P(DispatchEquivalence, BatchMatchesScalar) {
   const EccScheme scheme = GetParam();
   const CodecDispatch dispatch(scheme);
-  const LinkCodec& poly = codec_for(scheme);
   EXPECT_EQ(dispatch.scheme(), scheme);
-  EXPECT_EQ(dispatch.used_wires(), poly.used_wires());
 
+  constexpr std::size_t kLanes = 2048;
   Rng rng(static_cast<std::uint64_t>(scheme) + 99);
-  for (int i = 0; i < 2048; ++i) {
-    const std::uint64_t d = rng.next_u64();
-    Codeword72 cw = dispatch.encode(d);
-    ASSERT_TRUE(cw == poly.encode(d));
-    EXPECT_EQ(dispatch.extract_data(cw), poly.extract_data(cw));
-    expect_same_decode(dispatch.decode(cw), poly.decode(cw), "clean");
-    // Corrupt within the scheme's used wires and compare again.
-    cw.flip(static_cast<unsigned>(rng.next_below(dispatch.used_wires())));
-    if (rng.next_below(2) == 1) {
-      cw.flip(static_cast<unsigned>(rng.next_below(dispatch.used_wires())));
+  std::vector<std::uint64_t> data(kLanes);
+  for (auto& d : data) d = rng.next_u64();
+  std::vector<Codeword72> cws(kLanes);
+  dispatch.encode_batch(data.data(), cws.data(), kLanes);
+  for (std::size_t i = 0; i < kLanes; ++i) {
+    ASSERT_TRUE(cws[i] == dispatch.encode(data[i])) << "lane " << i;
+  }
+
+  // Lane i carries i % 3 flipped wires within the scheme's used wires
+  // (the two flips of a lane may coincide and cancel).
+  for (std::size_t i = 0; i < kLanes; ++i) {
+    for (std::size_t f = 0; f < i % 3; ++f) {
+      cws[i].flip(static_cast<unsigned>(rng.next_below(dispatch.used_wires())));
     }
-    const DecodeResult f = dispatch.decode(cw);
-    expect_same_decode(f, poly.decode(cw), "faulted");
-    if (!f.has_valid_data()) {
-      EXPECT_EQ(f.data, 0u) << "uncorrectable data must be zeroed";
+  }
+  std::vector<DecodeResult> res(kLanes);
+  dispatch.decode_batch(cws.data(), res.data(), kLanes);
+  for (std::size_t i = 0; i < kLanes; ++i) {
+    const std::string what = "lane " + std::to_string(i);
+    expect_same_decode(res[i], dispatch.decode(cws[i]), what);
+    if (i % 3 == 0) {
+      EXPECT_EQ(res[i].status, DecodeStatus::kClean) << what;
+      EXPECT_EQ(res[i].data, data[i]) << what;
+      EXPECT_EQ(dispatch.extract_data(cws[i]), data[i]) << what;
+    }
+    if (!res[i].has_valid_data()) {
+      EXPECT_EQ(res[i].data, 0u) << "uncorrectable data must be zeroed";
     }
   }
 }
