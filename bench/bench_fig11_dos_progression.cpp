@@ -115,7 +115,11 @@ int main(int argc, char** argv) {
   std::printf("\n(paper: within 50-100 cycles back pressure reaches 68%% "
               "(11/16) of routers; by 1500 cycles 81%% (13/16) of injection "
               "ports are deadlocked)\n");
-  std::printf("[sweep: %zu runs on %d thread(s) in %.2fs]\n\n",
-              result.runs.size(), result.threads_used, secs);
+  std::printf("\n");
+  // Wall time and thread count vary between runs: stderr keeps stdout
+  // byte-identical across --jobs values.
+  std::fflush(stdout);
+  std::fprintf(stderr, "[sweep: %zu runs on %d thread(s) in %.2fs]\n",
+               result.runs.size(), result.threads_used, secs);
   return result.failures() == 0 ? 0 : 1;
 }

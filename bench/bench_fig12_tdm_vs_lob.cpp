@@ -143,7 +143,10 @@ int main(int argc, char** argv) {
   const double secs =
       std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
           .count();
-  std::printf("\n[sweep: 2 cases x %d replicates in %.2fs]\n\n", kReplicates,
-              secs);
+  std::printf("\n");
+  // Wall time varies between runs: stderr keeps stdout byte-identical.
+  std::fflush(stdout);
+  std::fprintf(stderr, "[sweep: 2 cases x %d replicates in %.2fs]\n",
+               kReplicates, secs);
   return 0;
 }

@@ -8,7 +8,7 @@ void NocConfig::validate() const {
   HTNOC_EXPECT(mesh_width >= 2 && mesh_width <= 64);
   HTNOC_EXPECT(mesh_height >= 2 && mesh_height <= 64);
   HTNOC_EXPECT(concentration >= 1 && concentration <= 16);
-  HTNOC_EXPECT(vcs_per_port >= 1 && vcs_per_port <= 16);
+  HTNOC_EXPECT(vcs_per_port >= 1 && vcs_per_port <= kMaxVcsPerPort);
   HTNOC_EXPECT(buffer_depth >= 1 && buffer_depth <= 64);
   HTNOC_EXPECT(retrans_depth >= 1 && retrans_depth <= 64);
   HTNOC_EXPECT(retrans_per_vc_depth >= 1 && retrans_per_vc_depth <= 64);

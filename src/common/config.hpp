@@ -36,6 +36,9 @@ enum class EccScheme : std::uint8_t {
   kNone,    ///< Raw wires: every fault is silent data corruption.
 };
 
+/// Upper bound on NocConfig::vcs_per_port (validated).
+inline constexpr int kMaxVcsPerPort = 16;
+
 /// Parameters of the simulated NoC. Defaults reproduce the paper's setup:
 /// 64-core, 16-router 4x4 mesh, concentration 4, 4 VCs/port, 4x64-bit
 /// buffer slots per VC, 5-stage pipeline, x-y routing, round-robin

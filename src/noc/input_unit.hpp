@@ -210,6 +210,16 @@ class InputUnit {
     return n;
   }
 
+  /// True when no flit is charged against any VC (count_buffered is 0 for
+  /// every VC).
+  [[nodiscard]] bool empty() const {
+    if (!station_.empty()) return false;
+    for (const auto& v : vcs_) {
+      if (v.occupancy != 0) return false;
+    }
+    return true;
+  }
+
   [[nodiscard]] bool has_buffered_uid(std::uint64_t uid) const {
     for (const auto& v : vcs_) {
       for (const auto& s : v.streams) {
@@ -224,24 +234,25 @@ class InputUnit {
     return false;
   }
 
-  /// Audit census: append every buffered flit (VC streams + scramble
-  /// station), labelled with the caller-supplied identity. Iteration order
-  /// — VCs ascending, streams FIFO, flits seq-ascending — is part of the
-  /// census-digest contract and matches the pre-pool deque layout.
-  void collect_resident(std::vector<ResidentFlit>& out, std::uint16_t node,
-                        std::int8_t port) const {
+  /// Audit census: fn(ResidentFlit) for every buffered flit (VC streams +
+  /// scramble station), labelled with the caller-supplied identity.
+  /// Iteration order — VCs ascending, streams FIFO, flits seq-ascending — is
+  /// part of the census-digest contract and matches the pre-pool deque
+  /// layout.
+  template <class Fn>
+  void for_each_resident(std::uint16_t node, std::int8_t port, Fn&& fn) const {
     for (const auto& v : vcs_) {
       for (const auto& s : v.streams) {
         for (pool::FlitHandle h = s.head; !h.null(); h = arena_.next(h)) {
           const Flit& f = arena_.flit(h);
-          out.push_back(
-              {f.flit_uid(), f.packet, FlitSite::kInputBuffer, node, port});
+          fn(ResidentFlit{f.flit_uid(), f.packet, FlitSite::kInputBuffer, node,
+                          port});
         }
       }
     }
     for (const auto& e : station_) {
-      out.push_back({e.phit.flit.flit_uid(), e.phit.flit.packet,
-                     FlitSite::kScrambleStation, node, port});
+      fn(ResidentFlit{e.phit.flit.flit_uid(), e.phit.flit.packet,
+                      FlitSite::kScrambleStation, node, port});
     }
   }
 

@@ -125,6 +125,15 @@ class Link {
     }
     return n;
   }
+  /// Visit the VC of every credit on the reverse channel (invariant
+  /// checking: one pass for all VCs).
+  template <class Fn>
+  void for_each_pending_credit(Fn&& fn) const {
+    for (const auto& c : credits_) fn(c.msg.vc);
+  }
+  [[nodiscard]] bool has_pending_credits() const noexcept {
+    return !credits_.empty();
+  }
 
   /// Appending drain variants of take_credits/take_acks (see
   /// drain_arrivals; the reverse channel's fixed 1-cycle delay gives the
@@ -190,14 +199,14 @@ class Link {
     return false;
   }
 
-  /// Audit census: append every in-flight forward phit, labelled with the
-  /// caller-supplied identity (tracing may be off, so the trace identity
-  /// cannot be relied on here).
-  void collect_resident(std::vector<ResidentFlit>& out, std::uint16_t node,
-                        std::int8_t port) const {
+  /// Audit census: fn(ResidentFlit) for every in-flight forward phit,
+  /// labelled with the caller-supplied identity (tracing may be off, so the
+  /// trace identity cannot be relied on here).
+  template <class Fn>
+  void for_each_resident(std::uint16_t node, std::int8_t port, Fn&& fn) const {
     for (const auto& f : in_flight_) {
-      out.push_back({f.phit.flit.flit_uid(), f.phit.flit.packet,
-                     FlitSite::kLinkPhit, node, port});
+      fn(ResidentFlit{f.phit.flit.flit_uid(), f.phit.flit.packet,
+                      FlitSite::kLinkPhit, node, port});
     }
   }
 

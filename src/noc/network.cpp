@@ -218,30 +218,7 @@ void Network::set_audit(FlitAuditObserver* audit) {
 }
 
 void Network::collect_resident(std::vector<ResidentFlit>& out) const {
-  for (RouterId r = 0; r < geom_.num_routers(); ++r) {
-    const Router& rt = *routers_[static_cast<std::size_t>(r)];
-    for (int port = 0; port < rt.num_ports(); ++port) {
-      rt.input(port).collect_resident(out, r, static_cast<std::int8_t>(port));
-      rt.output(port).collect_resident(out, r, static_cast<std::int8_t>(port));
-    }
-    for (Direction d : kDirs) {
-      if (!has_link(r, d)) continue;
-      mesh_links_[static_cast<std::size_t>(link_index({r, d}))]
-          ->collect_resident(out, r,
-                             static_cast<std::int8_t>(direction_port(d)));
-    }
-  }
-  for (NodeId c = 0; c < geom_.num_cores(); ++c) {
-    const NetworkInterface& ni = *nis_[static_cast<std::size_t>(c)];
-    ni.collect_source_resident(out);
-    // NI-side ports reuse the router unit types; file them under the core.
-    ni.injection_port().collect_resident(out, c, trace::kLinkPortInjection);
-    ni.ejection_port().collect_resident(out, c, trace::kLinkPortEjection);
-    inj_links_[static_cast<std::size_t>(c)]->collect_resident(
-        out, c, trace::kLinkPortInjection);
-    ej_links_[static_cast<std::size_t>(c)]->collect_resident(
-        out, c, trace::kLinkPortEjection);
-  }
+  for_each_resident([&out](const ResidentFlit& f) { out.push_back(f); });
 }
 
 void Network::set_trace(trace::TraceSink* sink) {
@@ -483,30 +460,54 @@ bool Network::packet_in_flight(PacketId p) const {
 
 namespace {
 
-/// One hop's credit-conservation check (see Network::check_invariants).
-std::string check_hop(const OutputUnit& out, const Link& link,
-                      const InputUnit& in, int vcs, int depth,
-                      const std::string& where) {
-  for (int vc = 0; vc < vcs; ++vc) {
-    const int credits = out.credits(vc);
-    const int wire_credits = link.pending_credit_count(static_cast<VcId>(vc));
-    const int slots = out.slots_with_vc(vc);
-    const int buffered = in.count_buffered(vc);
-    int overlap = 0;
-    for (const std::uint64_t uid : out.inflight_uids(vc)) {
-      if (in.has_buffered_uid(uid)) ++overlap;
+/// The first VC of a hop whose credit accounting breaks — buffer_depth !=
+/// upstream credits + wire credits + retransmission slots + receiver
+/// buffered - (in-flight slots also buffered at the receiver) — or -1. One
+/// pass over each of the hop's structures; allocates nothing.
+int unbalanced_vc(const OutputUnit& out, const Link& link, const InputUnit& in,
+                  int vcs, int depth) {
+  if (out.occupancy() == 0 && !link.has_pending_credits() && in.empty()) {
+    // Idle hop: every credit is home.
+    for (int vc = 0; vc < vcs; ++vc) {
+      if (out.credits(vc) != depth) return vc;
     }
-    const int total = credits + wire_credits + slots + buffered - overlap;
-    if (total != depth) {
-      return where + " vc" + std::to_string(vc) + ": credits " +
-             std::to_string(credits) + " + wire " +
-             std::to_string(wire_credits) + " + slots " +
-             std::to_string(slots) + " + buffered " +
-             std::to_string(buffered) + " - overlap " +
-             std::to_string(overlap) + " != depth " + std::to_string(depth);
+    return -1;
+  }
+  // Per VC, everything but the upstream counter.
+  std::array<int, kMaxVcsPerPort> held{};
+  link.for_each_pending_credit([&](VcId vc) {
+    if (vc < vcs) ++held[vc];
+  });
+  out.for_each_slot([&](VcId vc, bool in_flight, std::uint64_t uid) {
+    if (vc >= vcs) return;
+    ++held[vc];
+    if (in_flight && in.has_buffered_uid(uid)) --held[vc];
+  });
+  for (int vc = 0; vc < vcs; ++vc) {
+    if (out.credits(vc) + held[static_cast<std::size_t>(vc)] +
+            in.count_buffered(vc) !=
+        depth) {
+      return vc;
     }
   }
-  return {};
+  return -1;
+}
+
+/// The failure text for `vc` of an unbalanced hop, term by term.
+std::string describe_hop(const OutputUnit& out, const Link& link,
+                         const InputUnit& in, int vc, int depth,
+                         const std::string& where) {
+  int overlap = 0;
+  out.for_each_slot([&](VcId v, bool in_flight, std::uint64_t uid) {
+    if (v == vc && in_flight && in.has_buffered_uid(uid)) ++overlap;
+  });
+  return where + " vc" + std::to_string(vc) + ": credits " +
+         std::to_string(out.credits(vc)) + " + wire " +
+         std::to_string(link.pending_credit_count(static_cast<VcId>(vc))) +
+         " + slots " + std::to_string(out.slots_with_vc(vc)) +
+         " + buffered " + std::to_string(in.count_buffered(vc)) +
+         " - overlap " + std::to_string(overlap) + " != depth " +
+         std::to_string(depth);
 }
 
 }  // namespace
@@ -519,32 +520,42 @@ std::string Network::check_invariants() const {
     for (const Direction d :
          {Direction::kNorth, Direction::kSouth, Direction::kEast,
           Direction::kWest}) {
-      if (!has_link(r, d)) continue;
-      const Link& l = *mesh_links_[static_cast<std::size_t>(link_index({r, d}))];
-      const RouterId nb = geom_.neighbor(r, d);
-      const std::string err = check_hop(
-          routers_[static_cast<std::size_t>(r)]->output(direction_port(d)), l,
-          routers_[static_cast<std::size_t>(nb)]->input(
-              direction_port(opposite(d))),
-          vcs, depth, "r" + std::to_string(r) + "->" + to_string(d));
-      if (!err.empty()) return err;
+      // Null exactly where has_link(r, d) is false.
+      const Link* link =
+          mesh_links_[static_cast<std::size_t>(link_index({r, d}))].get();
+      if (link == nullptr) continue;
+      const Link& l = *link;
+      const OutputUnit& out =
+          routers_[static_cast<std::size_t>(r)]->output(direction_port(d));
+      const InputUnit& in =
+          routers_[static_cast<std::size_t>(geom_.neighbor(r, d))]->input(
+              direction_port(opposite(d)));
+      const int vc = unbalanced_vc(out, l, in, vcs, depth);
+      if (vc >= 0) {
+        return describe_hop(out, l, in, vc, depth,
+                            "r" + std::to_string(r) + "->" + to_string(d));
+      }
     }
   }
   // NI injection and ejection hops.
   for (NodeId c = 0; c < geom_.num_cores(); ++c) {
     const RouterId r = geom_.router_of_core(c);
     const int port = kPortLocalBase + geom_.local_slot_of_core(c);
-    auto& ni = *nis_[static_cast<std::size_t>(c)];
-    std::string err =
-        check_hop(ni.injection_port(), *inj_links_[static_cast<std::size_t>(c)],
-                  routers_[static_cast<std::size_t>(r)]->input(port), vcs,
-                  depth, "inj.c" + std::to_string(c));
-    if (!err.empty()) return err;
-    err = check_hop(routers_[static_cast<std::size_t>(r)]->output(port),
-                    *ej_links_[static_cast<std::size_t>(c)],
-                    ni.ejection_port(), vcs, depth,
-                    "ej.c" + std::to_string(c));
-    if (!err.empty()) return err;
+    const NetworkInterface& ni = *nis_[static_cast<std::size_t>(c)];
+    const Router& router = *routers_[static_cast<std::size_t>(r)];
+    const Link& inj = *inj_links_[static_cast<std::size_t>(c)];
+    int vc = unbalanced_vc(ni.injection_port(), inj, router.input(port), vcs,
+                           depth);
+    if (vc >= 0) {
+      return describe_hop(ni.injection_port(), inj, router.input(port), vc,
+                          depth, "inj.c" + std::to_string(c));
+    }
+    const Link& ej = *ej_links_[static_cast<std::size_t>(c)];
+    vc = unbalanced_vc(router.output(port), ej, ni.ejection_port(), vcs, depth);
+    if (vc >= 0) {
+      return describe_hop(router.output(port), ej, ni.ejection_port(), vc,
+                          depth, "ej.c" + std::to_string(c));
+    }
   }
   return {};
 }

@@ -146,10 +146,14 @@ class Network {
   /// of every purge. See FlitAuditObserver / verify::NetworkInvariantAuditor.
   void set_audit(FlitAuditObserver* audit);
 
-  /// Audit census: append every flit currently resident anywhere in the
-  /// fabric — router input buffers and scramble stations, retransmission
-  /// slots, link phits, NI source queues and ejection buffers. A flit may
-  /// appear at several sites (see ResidentFlit).
+  /// Audit census: fn(ResidentFlit) for every flit currently resident
+  /// anywhere in the fabric — router input buffers and scramble stations,
+  /// retransmission slots, link phits, NI source queues and ejection
+  /// buffers. A flit may appear at several sites (see ResidentFlit). The
+  /// walk order is fixed (the census-digest contract).
+  template <class Fn>
+  void for_each_resident(Fn&& fn) const;
+  /// The census as a list, in walk order.
   void collect_resident(std::vector<ResidentFlit>& out) const;
 
   /// Install (or clear, with nullptr) the trace sink: distributes an
@@ -266,5 +270,35 @@ class Network {
   std::vector<std::vector<trace::Event>> shard_router_events_;
   std::vector<std::vector<trace::Event>> shard_ni_events_;
 };
+
+template <class Fn>
+void Network::for_each_resident(Fn&& fn) const {
+  for (RouterId r = 0; r < geom_.num_routers(); ++r) {
+    const Router& rt = *routers_[static_cast<std::size_t>(r)];
+    for (int port = 0; port < rt.num_ports(); ++port) {
+      rt.input(port).for_each_resident(r, static_cast<std::int8_t>(port), fn);
+      rt.output(port).for_each_resident(r, static_cast<std::int8_t>(port), fn);
+    }
+    for (const Direction d : {Direction::kNorth, Direction::kSouth,
+                              Direction::kEast, Direction::kWest}) {
+      // Null exactly where has_link(r, d) is false.
+      const Link* l =
+          mesh_links_[static_cast<std::size_t>(link_index({r, d}))].get();
+      if (l == nullptr) continue;
+      l->for_each_resident(r, static_cast<std::int8_t>(direction_port(d)), fn);
+    }
+  }
+  for (NodeId c = 0; c < geom_.num_cores(); ++c) {
+    const NetworkInterface& ni = *nis_[static_cast<std::size_t>(c)];
+    ni.for_each_source_resident(fn);
+    // NI-side ports reuse the router unit types; file them under the core.
+    ni.injection_port().for_each_resident(c, trace::kLinkPortInjection, fn);
+    ni.ejection_port().for_each_resident(c, trace::kLinkPortEjection, fn);
+    inj_links_[static_cast<std::size_t>(c)]->for_each_resident(
+        c, trace::kLinkPortInjection, fn);
+    ej_links_[static_cast<std::size_t>(c)]->for_each_resident(
+        c, trace::kLinkPortEjection, fn);
+  }
+}
 
 }  // namespace htnoc

@@ -127,14 +127,15 @@ class NetworkInterface {
     in_.set_trace(tap, trace::Scope::kCore, core_);
   }
 
-  /// Audit census: append every flit waiting in the source queues. The
-  /// injection-port OutputUnit and ejection-port InputUnit are walked
-  /// separately by the network.
-  void collect_source_resident(std::vector<ResidentFlit>& out) const {
+  /// Audit census: fn(ResidentFlit) for every flit waiting in the source
+  /// queues. The injection-port OutputUnit and ejection-port InputUnit are
+  /// walked separately by the network.
+  template <class Fn>
+  void for_each_source_resident(Fn&& fn) const {
     for (const auto& s : streams_) {
       for (const Flit& f : s.queue) {
-        out.push_back({f.flit_uid(), f.packet, FlitSite::kNiSourceQueue,
-                       core_, -1});
+        fn(ResidentFlit{f.flit_uid(), f.packet, FlitSite::kNiSourceQueue,
+                        core_, -1});
       }
     }
   }

@@ -225,26 +225,25 @@ class OutputUnit {
     return n;
   }
 
-  /// Flit uids of in-flight (sent, unacknowledged) slots on VC `vc` —
-  /// used by the credit-conservation checker to find flits that are
-  /// simultaneously here and buffered at the receiver (ACK in flight).
-  [[nodiscard]] std::vector<std::uint64_t> inflight_uids(int vc) const {
-    std::vector<std::uint64_t> uids;
+  /// Visit every retransmission slot, oldest first, as
+  /// fn(vc, in_flight, flit_uid). In-flight (sent, unacknowledged) slots are
+  /// how the credit-conservation check finds flits that are simultaneously
+  /// here and buffered at the receiver (ACK in flight). Allocation-free.
+  template <class Fn>
+  void for_each_slot(Fn&& fn) const {
     for (std::size_t i = 0; i < meta_.size(); ++i) {
-      if (meta_[i].state == SlotState::kInFlight && meta_[i].vc == vc) {
-        uids.push_back(payload_[i].flit.flit_uid());
-      }
+      fn(meta_[i].vc, meta_[i].state == SlotState::kInFlight,
+         payload_[i].flit.flit_uid());
     }
-    return uids;
   }
 
-  /// Audit census: append every retransmission-slot flit, labelled with
-  /// the caller-supplied identity.
-  void collect_resident(std::vector<ResidentFlit>& out, std::uint16_t node,
-                        std::int8_t port) const {
+  /// Audit census: fn(ResidentFlit) for every retransmission-slot flit,
+  /// labelled with the caller-supplied identity.
+  template <class Fn>
+  void for_each_resident(std::uint16_t node, std::int8_t port, Fn&& fn) const {
     for (std::size_t i = 0; i < meta_.size(); ++i) {
-      out.push_back({payload_[i].flit.flit_uid(), meta_[i].packet,
-                     FlitSite::kRetransSlot, node, port});
+      fn(ResidentFlit{payload_[i].flit.flit_uid(), meta_[i].packet,
+                      FlitSite::kRetransSlot, node, port});
     }
   }
 

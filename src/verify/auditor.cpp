@@ -1,6 +1,7 @@
 #include "verify/auditor.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <sstream>
 
 namespace htnoc::verify {
@@ -47,72 +48,174 @@ std::string Violation::to_string() const {
   return os.str();
 }
 
+// --- Ledger ----------------------------------------------------------------
+
+std::size_t NetworkInvariantAuditor::Ledger::home(
+    std::uint64_t uid) const noexcept {
+  // Fibonacci hashing: uids are (packet << 8 | seq), so consecutive packets
+  // differ only in the middle bits; the multiply spreads them over the top.
+  return static_cast<std::size_t>((uid * 0x9E3779B97F4A7C15ULL) >> shift_);
+}
+
+std::size_t NetworkInvariantAuditor::Ledger::find(
+    std::uint64_t uid) const noexcept {
+  if (size_ == 0) return kNone;
+  const std::size_t mask = keys_.size() - 1;
+  for (std::size_t i = home(uid);; i = (i + 1) & mask) {
+    if (keys_[i].seen == kFree) return kNone;
+    if (keys_[i].uid == uid) return i;
+  }
+}
+
+std::size_t NetworkInvariantAuditor::Ledger::insert(std::uint64_t uid,
+                                                    bool& inserted) {
+  if (2 * (size_ + 1) > keys_.size()) {
+    rehash(keys_.empty() ? 64 : 2 * keys_.size());
+  }
+  const std::size_t mask = keys_.size() - 1;
+  std::size_t i = home(uid);
+  while (keys_[i].seen != kFree && keys_[i].uid != uid) i = (i + 1) & mask;
+  inserted = keys_[i].seen == kFree;
+  if (inserted) {
+    keys_[i] = Key{uid, 0};
+    entries_[i] = LedgerEntry{};
+    ++size_;
+  }
+  return i;
+}
+
+void NetworkInvariantAuditor::Ledger::erase(std::uint64_t uid) noexcept {
+  std::size_t hole = find(uid);
+  if (hole == kNone) return;
+  const std::size_t mask = keys_.size() - 1;
+  // Backward shift: pull each later member of the probe run into the hole
+  // unless its home lies cyclically in (hole, j] (moving it would put it
+  // before its home).
+  for (std::size_t j = (hole + 1) & mask; keys_[j].seen != kFree;
+       j = (j + 1) & mask) {
+    const std::size_t h = home(keys_[j].uid);
+    const bool stays = hole <= j ? (hole < h && h <= j) : (hole < h || h <= j);
+    if (stays) continue;
+    keys_[hole] = keys_[j];
+    entries_[hole] = entries_[j];
+    hole = j;
+  }
+  keys_[hole].seen = kFree;
+  --size_;
+}
+
+void NetworkInvariantAuditor::Ledger::clear() noexcept {
+  for (Key& k : keys_) k.seen = kFree;
+  size_ = 0;
+}
+
+void NetworkInvariantAuditor::Ledger::rehash(std::size_t capacity) {
+  std::vector<Key> keys(capacity);
+  std::vector<LedgerEntry> entries(capacity);
+  keys.swap(keys_);
+  entries.swap(entries_);
+  shift_ = 64 - std::countr_zero(capacity);
+  size_ = 0;
+  for (std::size_t i = 0; i < keys.size(); ++i) {
+    if (keys[i].seen == kFree) continue;
+    bool inserted = false;
+    const std::size_t t = insert(keys[i].uid, inserted);
+    keys_[t].seen = keys[i].seen;
+    entries_[t] = entries[i];
+  }
+}
+
+std::vector<std::size_t> NetworkInvariantAuditor::Ledger::sorted() const {
+  std::vector<std::size_t> out;
+  out.reserve(size_);
+  for (std::size_t i = 0; i < keys_.size(); ++i) {
+    if (keys_[i].seen != kFree) out.push_back(i);
+  }
+  std::sort(out.begin(), out.end(), [&](std::size_t a, std::size_t b) {
+    return keys_[a].uid < keys_[b].uid;
+  });
+  return out;
+}
+
+// --- Lifecycle events --------------------------------------------------------
+
 void NetworkInvariantAuditor::on_packet_injected(Cycle now,
                                                  const PacketInfo& info) {
   for (int seq = 0; seq < info.length; ++seq) {
     const std::uint64_t uid = uid_of(info.id, seq);
-    auto [it, inserted] = ledger_.try_emplace(
-        uid, LedgerEntry{info.id, LedgerEntry::State::kResident, now});
-    if (!inserted) {
+    bool inserted = false;
+    const std::size_t i = ledger_.insert(uid, inserted);
+    if (!inserted && admit(ViolationKind::kUnknownFlit, uid)) {
       record(now, ViolationKind::kUnknownFlit, uid, info.id,
              "packet id reused at injection");
-      it->second = LedgerEntry{info.id, LedgerEntry::State::kResident, now};
     }
+    ledger_.entry(i) = LedgerEntry{info.id, LedgerEntry::State::kResident, now};
     ++flits_tracked_;
   }
 }
 
 void NetworkInvariantAuditor::on_flit_delivered(Cycle now, const Flit& flit) {
   const std::uint64_t uid = flit.flit_uid();
-  const auto it = ledger_.find(uid);
-  if (it == ledger_.end()) {
-    record(now, ViolationKind::kUnknownFlit, uid, flit.packet,
-           "delivered flit was never injected");
+  const std::size_t i = ledger_.find(uid);
+  if (i == Ledger::kNone) {
+    if (admit(ViolationKind::kUnknownFlit, uid)) {
+      record(now, ViolationKind::kUnknownFlit, uid, flit.packet,
+             "delivered flit was never injected");
+    }
     return;
   }
-  switch (it->second.state) {
+  LedgerEntry& e = ledger_.entry(i);
+  switch (e.state) {
     case LedgerEntry::State::kResident:
-      it->second.state = LedgerEntry::State::kDelivered;
-      it->second.since = now;
+      e.state = LedgerEntry::State::kDelivered;
+      e.since = now;
       break;
     case LedgerEntry::State::kDelivered:
-      record(now, ViolationKind::kDuplicateDelivery, uid, flit.packet,
-             "flit consumed by an ejection sink twice");
+      if (admit(ViolationKind::kDuplicateDelivery, uid)) {
+        record(now, ViolationKind::kDuplicateDelivery, uid, flit.packet,
+               "flit consumed by an ejection sink twice");
+      }
       break;
     case LedgerEntry::State::kPurged:
-      record(now, ViolationKind::kPurgeLeak, uid, flit.packet,
-             "flit delivered after its packet was purged");
+      if (admit(ViolationKind::kPurgeLeak, uid)) {
+        record(now, ViolationKind::kPurgeLeak, uid, flit.packet,
+               "flit delivered after its packet was purged");
+      }
       break;
   }
 }
 
 void NetworkInvariantAuditor::on_flits_purged(
     Cycle now, PacketId p, const std::vector<std::uint64_t>& uids) {
-  purged_packets_.insert(p);
   for (const std::uint64_t uid : uids) {
-    const auto it = ledger_.find(uid);
-    if (it == ledger_.end()) {
-      record(now, ViolationKind::kUnknownFlit, uid, p,
-             "purged flit was never injected");
+    const std::size_t i = ledger_.find(uid);
+    if (i == Ledger::kNone) {
+      if (admit(ViolationKind::kUnknownFlit, uid)) {
+        record(now, ViolationKind::kUnknownFlit, uid, p,
+               "purged flit was never injected");
+      }
       continue;
     }
-    it->second.state = LedgerEntry::State::kPurged;
-    it->second.since = now;
+    ledger_.entry(i).state = LedgerEntry::State::kPurged;
+    ledger_.entry(i).since = now;
   }
   // The purge claims the whole packet left the fabric, so flip every
   // still-resident flit of `p` — not only the listed uids. A purge that
   // skipped a slot (and its uid) is then still caught by the census as a
   // kPurgeLeak instead of silently passing as "resident".
   const std::uint64_t lo = uid_of(p, 0);
-  for (auto it = ledger_.lower_bound(lo);
-       it != ledger_.end() && it->first <= (lo | 0xFF); ++it) {
-    if (it->second.packet != p) continue;
-    if (it->second.state == LedgerEntry::State::kResident) {
-      it->second.state = LedgerEntry::State::kPurged;
-      it->second.since = now;
+  for (std::uint64_t seq = 0; seq <= 0xFF; ++seq) {
+    const std::size_t i = ledger_.find(lo | seq);
+    if (i == Ledger::kNone) continue;
+    LedgerEntry& e = ledger_.entry(i);
+    if (e.packet == p && e.state == LedgerEntry::State::kResident) {
+      e.state = LedgerEntry::State::kPurged;
+      e.since = now;
     }
   }
 }
+
+// --- Per-cycle checks --------------------------------------------------------
 
 void NetworkInvariantAuditor::on_cycle_end() {
   const Cycle now = net_.now();
@@ -125,78 +228,117 @@ void NetworkInvariantAuditor::audit(Cycle now) {
   check_census(now);
   const std::string credit = net_.check_invariants();
   if (!credit.empty()) {
-    record(now, ViolationKind::kCreditConservation, hash_detail(credit),
-           kInvalidPacket, credit);
+    const std::uint64_t key = hash_detail(credit);
+    if (admit(ViolationKind::kCreditConservation, key)) {
+      record(now, ViolationKind::kCreditConservation, key, kInvalidPacket,
+             credit);
+    }
   }
   check_starvation(now);
 }
 
 void NetworkInvariantAuditor::check_census(Cycle now) {
-  census_.clear();
-  net_.collect_resident(census_);
-  std::sort(census_.begin(), census_.end(),
-            [](const ResidentFlit& a, const ResidentFlit& b) {
-              return a.uid < b.uid;
-            });
+  const std::uint64_t epoch = audits_run_;
+  candidates_.clear();
 
-  // Merge-walk the sorted census against the uid-ordered ledger.
-  std::size_t i = 0;
-  auto it = ledger_.begin();
-  while (i < census_.size() || it != ledger_.end()) {
-    if (it == ledger_.end() ||
-        (i < census_.size() && census_[i].uid < it->first)) {
-      // Census uid with no ledger entry: a flit that was never injected.
-      const ResidentFlit& r = census_[i];
-      std::ostringstream os;
-      os << "resident flit without an injection record at "
-         << htnoc::to_string(r.site) << " node=" << r.node
-         << " port=" << static_cast<int>(r.port);
-      record(now, ViolationKind::kUnknownFlit, r.uid, r.packet, os.str());
-      const std::uint64_t uid = r.uid;
-      while (i < census_.size() && census_[i].uid == uid) ++i;
-      continue;
+  // Census side: stamp every sighted ledger entry with this epoch. A flit
+  // may occupy several sites at once (slot + receiver buffer while the ACK
+  // is in flight); its first sighting gives the verdict for all of them.
+  net_.for_each_resident([&](const ResidentFlit& r) {
+    const std::size_t i = ledger_.find(r.uid);
+    if (i == Ledger::kNone) {
+      // A flit that was never injected (duplicates merge below).
+      candidates_.push_back({r.uid, ViolationKind::kUnknownFlit, r.packet, 0});
+      return;
     }
-    if (i >= census_.size() || it->first < census_[i].uid) {
-      // Ledger uid absent from the census.
-      LedgerEntry& e = it->second;
-      if (e.state == LedgerEntry::State::kResident) {
-        std::ostringstream os;
-        os << "flit vanished from the fabric (resident since cycle "
-           << e.since << ")";
-        record(now, ViolationKind::kFlitLoss, it->first, e.packet, os.str());
-        it = ledger_.erase(it);
-      } else if (now > e.since + cfg_.ack_grace) {
-        // Fully retired (delivered/purged, no residue left): garbage-collect
-        // so the ledger tracks only in-flight and recently-retired flits.
-        it = ledger_.erase(it);
-      } else {
-        ++it;
-      }
-      continue;
-    }
-    // Present in both. A flit may occupy several sites at once (slot +
-    // receiver buffer while the ACK is in flight); all share the verdict.
-    const std::uint64_t uid = it->first;
-    const LedgerEntry& e = it->second;
-    const ResidentFlit& r = census_[i];
+    if (ledger_.seen(i) == epoch) return;
+    ledger_.seen(i) = epoch;
+    const LedgerEntry& e = ledger_.entry(i);
     if (e.state == LedgerEntry::State::kPurged) {
-      std::ostringstream os;
-      os << "flit of purged packet still resident at "
-         << htnoc::to_string(r.site) << " node=" << r.node
-         << " port=" << static_cast<int>(r.port);
-      record(now, ViolationKind::kPurgeLeak, uid, e.packet, os.str());
+      candidates_.push_back(
+          {r.uid, ViolationKind::kPurgeLeak, e.packet, e.since});
     } else if (e.state == LedgerEntry::State::kDelivered &&
                now > e.since + cfg_.ack_grace) {
-      std::ostringstream os;
-      os << "flit delivered at cycle " << e.since << " still resident at "
-         << htnoc::to_string(r.site) << " node=" << r.node
-         << " port=" << static_cast<int>(r.port)
-         << " (ACK never cleared the slot?)";
-      record(now, ViolationKind::kAckSlotLeak, uid, e.packet, os.str());
+      candidates_.push_back(
+          {r.uid, ViolationKind::kAckSlotLeak, e.packet, e.since});
     }
-    while (i < census_.size() && census_[i].uid == uid) ++i;
-    ++it;
+  });
+
+  // Ledger side: entries the census did not sight.
+  retired_.clear();
+  const std::size_t capacity = ledger_.capacity();
+  for (std::size_t i = 0; i < capacity; ++i) {
+    // Occupied slots hold seen <= epoch and free ones kFree, so one
+    // comparison finds the unsighted entries.
+    if (ledger_.seen(i) >= epoch) continue;
+    const LedgerEntry& e = ledger_.entry(i);
+    if (e.state == LedgerEntry::State::kResident) {
+      candidates_.push_back(
+          {ledger_.uid(i), ViolationKind::kFlitLoss, e.packet, e.since});
+      retired_.push_back(ledger_.uid(i));
+    } else if (now > e.since + cfg_.ack_grace) {
+      // Fully retired (delivered/purged, no residue left): garbage-collect
+      // so the ledger tracks only in-flight and recently-retired flits.
+      retired_.push_back(ledger_.uid(i));
+    }
   }
+  for (const std::uint64_t uid : retired_) ledger_.erase(uid);
+  if (candidates_.empty()) return;
+
+  // Record in uid order, one verdict per uid.
+  std::sort(candidates_.begin(), candidates_.end(),
+            [](const Candidate& a, const Candidate& b) {
+              return a.uid < b.uid;
+            });
+  census_.clear();
+  for (std::size_t i = 0; i < candidates_.size(); ++i) {
+    if (i > 0 && candidates_[i - 1].uid == candidates_[i].uid) continue;
+    Candidate c = candidates_[i];
+    if (!admit(c.kind, c.uid)) continue;
+    std::string detail = census_detail(c);
+    record(now, c.kind, c.uid, c.packet, std::move(detail));
+  }
+}
+
+std::string NetworkInvariantAuditor::census_detail(Candidate& c) {
+  std::ostringstream os;
+  if (c.kind == ViolationKind::kFlitLoss) {
+    os << "flit vanished from the fabric (resident since cycle " << c.since
+       << ")";
+    return os.str();
+  }
+  // The uid-sorted census decides which of a flit's sites is named. It is
+  // only built on the rare audits that record a site-bearing verdict.
+  const auto by_uid = [](const ResidentFlit& a, const ResidentFlit& b) {
+    return a.uid < b.uid;
+  };
+  if (census_.empty()) {
+    net_.collect_resident(census_);
+    std::sort(census_.begin(), census_.end(), by_uid);
+  }
+  const ResidentFlit& r = *std::lower_bound(census_.begin(), census_.end(),
+                                            ResidentFlit{c.uid}, by_uid);
+  const auto site = [&] {
+    os << htnoc::to_string(r.site) << " node=" << r.node
+       << " port=" << static_cast<int>(r.port);
+  };
+  switch (c.kind) {
+    case ViolationKind::kUnknownFlit:
+      c.packet = r.packet;  // no ledger entry: the census names the packet
+      os << "resident flit without an injection record at ";
+      site();
+      break;
+    case ViolationKind::kPurgeLeak:
+      os << "flit of purged packet still resident at ";
+      site();
+      break;
+    default:  // kAckSlotLeak
+      os << "flit delivered at cycle " << c.since << " still resident at ";
+      site();
+      os << " (ACK never cleared the slot?)";
+      break;
+  }
+  return os.str();
 }
 
 void NetworkInvariantAuditor::check_starvation(Cycle now) {
@@ -208,23 +350,18 @@ void NetworkInvariantAuditor::check_starvation(Cycle now) {
   hol_.resize(static_cast<std::size_t>(routers) *
               static_cast<std::size_t>(ports) * static_cast<std::size_t>(vcs));
 
+  HolWatch* watch = hol_.data();  // router-major, then port, then VC
   for (int r = 0; r < routers; ++r) {
     Router& router = net_.router(static_cast<RouterId>(r));
     // Any blocked output port means the saturation machinery has fired (or
     // would, were anyone sampling): back-pressure stalls on this router are
-    // accounted for and not "silent".
-    bool blocked = false;
-    for (int p = 0; p < ports && !blocked; ++p) {
-      blocked = router.output(p).blocked(now);
-    }
+    // accounted for and not "silent". Probed only when a watch needs it.
+    enum class Blocked : std::uint8_t { kUnknown, kNo, kYes };
+    Blocked blocked = Blocked::kUnknown;
     for (int p = 0; p < ports; ++p) {
       const InputUnit& in = router.input(p);
       for (int vc = 0; vc < vcs; ++vc) {
-        HolWatch& w =
-            hol_[(static_cast<std::size_t>(r) * static_cast<std::size_t>(ports) +
-                  static_cast<std::size_t>(p)) *
-                     static_cast<std::size_t>(vcs) +
-                 static_cast<std::size_t>(vc)];
+        HolWatch& w = *watch++;
         const auto& buf = in.vcbuf(vc);
         // Only committed (kActive) streams are watched: a stream holding an
         // output VC with its in-order flit ready has nothing between it and
@@ -233,7 +370,7 @@ void NetworkInvariantAuditor::check_starvation(Cycle now) {
         if (buf.streams.empty() ||
             buf.streams.front().state != InputUnit::PacketStream::State::kActive ||
             !in.front_flit_ready(now, vc)) {
-          w = HolWatch{};
+          if (w.packet != kInvalidPacket) w = HolWatch{};
           continue;
         }
         const InputUnit::PacketStream& s = buf.streams.front();
@@ -243,25 +380,36 @@ void NetworkInvariantAuditor::check_starvation(Cycle now) {
           w.ready_since = now;
           continue;
         }
-        if (blocked) {
+        if (blocked == Blocked::kUnknown) {
+          blocked = Blocked::kNo;
+          for (int op = 0; op < ports; ++op) {
+            if (router.output(op).blocked(now)) {
+              blocked = Blocked::kYes;
+              break;
+            }
+          }
+        }
+        if (blocked == Blocked::kYes) {
           // Progress is legitimately stalled; restart the clock so the watch
           // re-arms only after the congestion report clears.
           w.ready_since = now;
           continue;
         }
         if (now - w.ready_since >= cfg_.deadlock_horizon) {
-          std::ostringstream os;
-          os << "router " << r << " port " << p << " vc " << vc
-             << ": in-order flit of packet " << s.packet << " (seq "
-             << s.next_seq << ") ready but unserved for "
-             << (now - w.ready_since)
-             << " cycles with no blocked-port report";
           const std::uint64_t key =
               (static_cast<std::uint64_t>(r) << 32) |
               (static_cast<std::uint64_t>(p) << 16) |
               static_cast<std::uint64_t>(vc);
-          record(now, ViolationKind::kSilentStarvation, key, s.packet,
-                 os.str());
+          if (admit(ViolationKind::kSilentStarvation, key)) {
+            std::ostringstream os;
+            os << "router " << r << " port " << p << " vc " << vc
+               << ": in-order flit of packet " << s.packet << " (seq "
+               << s.next_seq << ") ready but unserved for "
+               << (now - w.ready_since)
+               << " cycles with no blocked-port report";
+            record(now, ViolationKind::kSilentStarvation, key, s.packet,
+                   os.str());
+          }
           w.ready_since = now;  // re-arm instead of re-reporting every cycle
         }
       }
@@ -269,11 +417,14 @@ void NetworkInvariantAuditor::check_starvation(Cycle now) {
   }
 }
 
+bool NetworkInvariantAuditor::admit(ViolationKind kind, std::uint64_t key) {
+  const bool fresh = reported_.emplace(key, static_cast<int>(kind)).second;
+  return fresh && violations_.size() < cfg_.max_violations;
+}
+
 void NetworkInvariantAuditor::record(Cycle now, ViolationKind kind,
                                      std::uint64_t uid, PacketId packet,
                                      std::string detail) {
-  if (already_reported(kind, uid)) return;
-  if (violations_.size() >= cfg_.max_violations) return;
   Violation v;
   v.cycle = now;
   v.kind = kind;
@@ -289,11 +440,6 @@ void NetworkInvariantAuditor::record(Cycle now, ViolationKind kind,
     v.context = std::move(tail);
   }
   violations_.push_back(std::move(v));
-}
-
-bool NetworkInvariantAuditor::already_reported(ViolationKind kind,
-                                               std::uint64_t key) {
-  return !reported_.emplace(key, static_cast<int>(kind)).second;
 }
 
 std::string NetworkInvariantAuditor::report() const {

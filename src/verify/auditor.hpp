@@ -7,13 +7,19 @@
 //
 // The auditor is a FlitAuditObserver: the network pushes lifecycle events
 // (injected / delivered / purged) into a per-uid ledger, and on_cycle_end()
-// walks a census of every resident flit (Network::collect_resident) against
+// walks a census of every resident flit (Network::for_each_resident) against
 // that ledger. Anything that does not reconcile becomes a Violation,
 // annotated with the tail of the event trace when a sink is attached.
+//
+// The ledger is a flat open-addressing table, so the census costs one O(1)
+// lookup per resident flit plus one pass over the table; each entry carries
+// the census epoch (the audit number) of its last sighting, and entries not
+// seen this epoch are the lost or retired flits. The census verdicts are
+// gathered first and recorded sorted by uid, so violation order never
+// depends on table layout.
 #pragma once
 
 #include <cstdint>
-#include <map>
 #include <set>
 #include <string>
 #include <vector>
@@ -107,6 +113,63 @@ class NetworkInvariantAuditor final : public FlitAuditObserver {
     Cycle since = 0;  ///< Cycle of the last state change.
   };
 
+  /// uid -> LedgerEntry: linear probing over a power-of-two table kept at
+  /// most half full, backward-shift deletion (no tombstones). A probe and
+  /// the per-audit pass over `seen` touch only the 16-byte key lane; the
+  /// entries live in a parallel lane. Allocates on first insert and only
+  /// grows.
+  class Ledger {
+   public:
+    static constexpr std::size_t kNone = ~std::size_t{0};
+    /// `seen` of a free slot (audit numbers never reach it).
+    static constexpr std::uint64_t kFree = ~std::uint64_t{0};
+
+    /// Slot of `uid`, or kNone.
+    [[nodiscard]] std::size_t find(std::uint64_t uid) const noexcept;
+    /// Slot of `uid`; when absent (`inserted`) it gets seen 0 and a
+    /// default entry.
+    std::size_t insert(std::uint64_t uid, bool& inserted);
+    void erase(std::uint64_t uid) noexcept;
+    void clear() noexcept;
+    [[nodiscard]] std::size_t size() const noexcept { return size_; }
+    [[nodiscard]] std::size_t capacity() const noexcept {
+      return keys_.size();
+    }
+    [[nodiscard]] std::uint64_t uid(std::size_t i) const noexcept {
+      return keys_[i].uid;
+    }
+    /// Audit number of the slot's last census sighting; kFree when free.
+    [[nodiscard]] std::uint64_t& seen(std::size_t i) noexcept {
+      return keys_[i].seen;
+    }
+    [[nodiscard]] LedgerEntry& entry(std::size_t i) noexcept {
+      return entries_[i];
+    }
+    /// Occupied slots in uid order (the snapshot layout).
+    [[nodiscard]] std::vector<std::size_t> sorted() const;
+
+   private:
+    [[nodiscard]] std::size_t home(std::uint64_t uid) const noexcept;
+    void rehash(std::size_t capacity);
+
+    struct Key {
+      std::uint64_t uid = 0;
+      std::uint64_t seen = kFree;
+    };
+    std::vector<Key> keys_;
+    std::vector<LedgerEntry> entries_;
+    std::size_t size_ = 0;
+    int shift_ = 64;  ///< 64 - log2(capacity): Fibonacci hashing.
+  };
+
+  /// A census verdict awaiting uid-ordered recording.
+  struct Candidate {
+    std::uint64_t uid = 0;
+    ViolationKind kind = ViolationKind::kFlitLoss;
+    PacketId packet = kInvalidPacket;
+    Cycle since = 0;  ///< The ledger entry's, for the detail text.
+  };
+
   /// Per-(router, port, vc) head-of-line progress watch.
   struct HolWatch {
     PacketId packet = kInvalidPacket;
@@ -116,25 +179,33 @@ class NetworkInvariantAuditor final : public FlitAuditObserver {
 
   void audit(Cycle now);
   void check_census(Cycle now);
+  /// Detail text of a census verdict. The site named (and, for an unknown
+  /// flit, the packet) is the uid's first entry in uid-sorted census order:
+  /// a flit may be resident at several sites at once.
+  [[nodiscard]] std::string census_detail(Candidate& c);
   void check_starvation(Cycle now);
+  /// Mark (kind, key) reported. True when it was not reported before
+  /// (repeats of a persistent condition across audit cycles are
+  /// suppressed) and the violation list still has room: the caller then
+  /// words the violation and records it.
+  [[nodiscard]] bool admit(ViolationKind kind, std::uint64_t key);
   void record(Cycle now, ViolationKind kind, std::uint64_t uid, PacketId packet,
               std::string detail);
-  /// True when this (kind, key) was already reported (suppress repeats of a
-  /// persistent condition across audit cycles).
-  [[nodiscard]] bool already_reported(ViolationKind kind, std::uint64_t key);
 
   Network& net_;
   AuditConfig cfg_;
   const trace::TraceSink* sink_ = nullptr;
 
-  // std::map keeps ledger walks in uid order — violation order is
-  // deterministic for a given simulation regardless of platform.
-  std::map<std::uint64_t, LedgerEntry> ledger_;
-  std::set<PacketId> purged_packets_;
+  Ledger ledger_;
   std::vector<Violation> violations_;
   std::set<std::pair<std::uint64_t, int>> reported_;
-  std::vector<ResidentFlit> census_;  ///< Reused scratch.
-  std::vector<HolWatch> hol_;         ///< Indexed router-major.
+  // Per-audit scratch, reused across audits.
+  std::vector<Candidate> candidates_;
+  /// The uid-sorted census, built only on audits that word a site-bearing
+  /// verdict.
+  std::vector<ResidentFlit> census_;
+  std::vector<std::uint64_t> retired_;  ///< Ledger uids to erase.
+  std::vector<HolWatch> hol_;  ///< Indexed router-major.
   std::uint64_t audits_run_ = 0;
   std::uint64_t flits_tracked_ = 0;
 };

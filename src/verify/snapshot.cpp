@@ -677,14 +677,34 @@ struct StateCodec {
 
   template <class Ar>
   static void io_auditor(Ar& ar, NetworkInvariantAuditor& aud) {
-    io_map(
-        ar, aud.ledger_, [](Ar& a, std::uint64_t& k) { a.u64(k); },
-        [](Ar& a, auto& e) {
-          a.u64(e.packet);
-          io_enum8(a, e.state);
-          a.u64(e.since);
-        });
-    io_set(ar, aud.purged_packets_, [](Ar& a, PacketId& p) { a.u64(p); });
+    // The ledger in uid order (the table's own layout is not state). Census
+    // epochs are not saved: every stored epoch is behind the next audit's.
+    using Entry = NetworkInvariantAuditor::LedgerEntry;
+    const auto io_entry = [](Ar& a, std::uint64_t& uid, Entry& e) {
+      a.u64(uid);
+      a.u64(e.packet);
+      io_enum8(a, e.state);
+      a.u64(e.since);
+    };
+    std::uint64_t n = aud.ledger_.size();
+    ar.u64(n);
+    if constexpr (Ar::kLoading) {
+      aud.ledger_.clear();
+      for (std::uint64_t i = 0; i < n; ++i) {
+        std::uint64_t uid = 0;
+        Entry e;
+        io_entry(ar, uid, e);
+        bool inserted = false;
+        const std::size_t slot = aud.ledger_.insert(uid, inserted);
+        if (inserted) aud.ledger_.entry(slot) = e;
+      }
+    } else {
+      for (const std::size_t slot : aud.ledger_.sorted()) {
+        std::uint64_t uid = aud.ledger_.uid(slot);
+        Entry e = aud.ledger_.entry(slot);
+        io_entry(ar, uid, e);
+      }
+    }
     io_seq(ar, aud.violations_, [](Ar& a, Violation& v) {
       a.u64(v.cycle);
       io_enum8(a, v.kind);

@@ -49,7 +49,7 @@ class SnapshotError : public std::runtime_error {
 
 /// Current snapshot layout version (envelope field). Bump on any layout
 /// change; load_snapshot rejects other versions.
-inline constexpr std::uint32_t kSnapshotVersion = 2;
+inline constexpr std::uint32_t kSnapshotVersion = 3;
 
 /// FNV-1a over the structural NocConfig fields a blob depends on (topology,
 /// dimensions, buffer/VC geometry, retransmission + ECC schemes, pipeline

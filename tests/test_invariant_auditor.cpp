@@ -7,6 +7,7 @@
 
 #include <memory>
 #include <set>
+#include <string>
 #include <vector>
 
 #include "sim/simulator.hpp"
@@ -261,6 +262,99 @@ TEST_F(ForcedViolationTest, ViolationReportIsDescriptive) {
   const std::string text = aud.report();
   EXPECT_NE(text.find("flit_loss"), std::string::npos) << text;
   EXPECT_NE(text.find("packet"), std::string::npos) << text;
+}
+
+TEST_F(ForcedViolationTest, MixedViolationsInOneAuditReportInUidOrder) {
+  // One audit cycle meets all three census verdicts at once, interleaved in
+  // uid order: a ghost packet (flit_loss per flit) below an untracked
+  // resident packet (unknown_flit), below a falsely purged resident packet
+  // (purge_leak), below a second ghost. The report is pinned byte for byte:
+  // violation order, uids, cycles and text are part of the contract.
+  const PacketInfo ghost_lo = packet(1, 62, 3);
+  const PacketInfo untracked = packet(0, 63, 3);
+  ASSERT_TRUE(net.try_inject(untracked, std::vector<std::uint64_t>(2, 1)));
+  net.set_audit(&aud);
+  const PacketInfo purged = packet(4, 59, 4);
+  ASSERT_TRUE(net.try_inject(purged, std::vector<std::uint64_t>(3, 2)));
+  const PacketInfo ghost_hi = packet(2, 50, 2);
+  aud.on_packet_injected(0, ghost_lo);
+  aud.on_packet_injected(0, ghost_hi);
+  net.run(4);
+  aud.on_flits_purged(net.now(), purged.id, {});
+  net.step();
+  aud.on_cycle_end();
+  EXPECT_EQ(aud.audits_run(), 1u);
+  const std::string lost =
+      " — flit vanished from the fabric (resident since cycle 0)\n";
+  const std::string unknown =
+      " — resident flit without an injection record at ";
+  const std::string leak = " — flit of purged packet still resident at ";
+  const std::string expected =
+      "cycle 5: flit_loss packet=1 uid=0x100" + lost +
+      "cycle 5: flit_loss packet=1 uid=0x101" + lost +
+      "cycle 5: flit_loss packet=1 uid=0x102" + lost +
+      "cycle 5: unknown_flit packet=2 uid=0x200" + unknown +
+      "retrans_slot node=0 port=2\n"
+      "cycle 5: unknown_flit packet=2 uid=0x201" + unknown +
+      "input_buffer node=0 port=4\n"
+      "cycle 5: unknown_flit packet=2 uid=0x202" + unknown +
+      "input_buffer node=0 port=4\n"
+      "cycle 5: purge_leak packet=3 uid=0x300" + leak +
+      "retrans_slot node=1 port=2\n"
+      "cycle 5: purge_leak packet=3 uid=0x301" + leak +
+      "input_buffer node=1 port=4\n"
+      "cycle 5: purge_leak packet=3 uid=0x302" + leak +
+      "input_buffer node=1 port=4\n"
+      "cycle 5: purge_leak packet=3 uid=0x303" + leak +
+      "retrans_slot node=4 port=4\n"
+      "cycle 5: flit_loss packet=4 uid=0x400" + lost +
+      "cycle 5: flit_loss packet=4 uid=0x401" + lost;
+  EXPECT_EQ(aud.report(), expected);
+}
+
+TEST_F(ForcedViolationTest, ManyGhostsReportEveryLossInUidOrder) {
+  // More ghost packets than any small initial table holds: the ledger must
+  // grow, and the census must then retire every entry (deletion wrapping
+  // round the table) while reporting each loss once, in uid order.
+  verify::NetworkInvariantAuditor many{
+      net, verify::AuditConfig{.enabled = true, .max_violations = 1000}};
+  net.set_audit(&many);
+  constexpr int kGhosts = 97;
+  constexpr int kLength = 3;
+  std::vector<std::uint64_t> uids;
+  for (int g = 0; g < kGhosts; ++g) {
+    if (g % 8 == 0) {
+      // Real tracked packets between the ghosts: their entries must survive
+      // the deletions around them and stay findable.
+      const PacketInfo real = packet(g % 64, (g + 21) % 64, 2);
+      ASSERT_TRUE(net.try_inject(real, std::vector<std::uint64_t>(1, 3)));
+    }
+    const PacketInfo info = packet(g % 64, 63 - g % 64, kLength);
+    many.on_packet_injected(0, info);
+    for (int seq = 0; seq < kLength; ++seq) {
+      uids.push_back((info.id << 8) | static_cast<std::uint64_t>(seq));
+    }
+  }
+  net.step();
+  many.on_cycle_end();
+  ASSERT_EQ(many.violations().size(), uids.size()) << many.report();
+  std::string expected;
+  for (std::size_t i = 0; i < uids.size(); ++i) {
+    const verify::Violation& v = many.violations()[i];
+    EXPECT_EQ(v.kind, verify::ViolationKind::kFlitLoss);
+    EXPECT_EQ(v.uid, uids[i]) << "violation " << i;
+    EXPECT_EQ(v.packet, uids[i] >> 8);
+    expected += v.to_string() + "\n";
+  }
+  EXPECT_EQ(many.report(), expected);
+  // Every ghost was retired with its report, and the real packets drain
+  // cleanly: later audits add nothing.
+  for (int c = 0; c < 300; ++c) {
+    net.step();
+    many.on_cycle_end();
+  }
+  EXPECT_TRUE(net.quiescent());
+  EXPECT_EQ(many.violations().size(), uids.size()) << many.report();
 }
 
 // ---------------------------------------------------------------------------

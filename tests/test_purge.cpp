@@ -140,9 +140,9 @@ TEST_F(PurgeTest, FlitInLinkPhitAndRetransSlotCountedOnce) {
   for (int i = 0; i < 20 && !dual; ++i) {
     net.step();
     bool slot_in_flight = false;
-    for (int vc = 0; vc < cfg.vcs_per_port; ++vc) {
-      if (!inj.inflight_uids(vc).empty()) slot_in_flight = true;
-    }
+    inj.for_each_slot([&](VcId, bool in_flight, std::uint64_t) {
+      slot_in_flight = slot_in_flight || in_flight;
+    });
     dual = slot_in_flight && l->has_packet(info.id);
   }
   ASSERT_TRUE(dual) << "never caught the flit in both locations";
@@ -185,12 +185,11 @@ TEST_F(PurgeTest, PurgeRacingInFlightAckAtEveryOffset) {
     // No retransmission slot anywhere in the fabric may still reference the
     // purged packet once its control traffic has drained.
     const auto holds_packet = [&](const OutputUnit& out) {
-      for (int vc = 0; vc < cfg.vcs_per_port; ++vc) {
-        for (const std::uint64_t uid : out.inflight_uids(vc)) {
-          if ((uid >> 8) == info.id) return true;
-        }
-      }
-      return false;
+      bool holds = false;
+      out.for_each_slot([&](VcId, bool in_flight, std::uint64_t uid) {
+        holds = holds || (in_flight && (uid >> 8) == info.id);
+      });
+      return holds;
     };
     for (RouterId r = 0; r < cfg.num_routers(); ++r) {
       const Router& router = n.router(r);

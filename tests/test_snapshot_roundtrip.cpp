@@ -173,6 +173,37 @@ TEST(SnapshotRoundtrip, RestoreAcrossThreadCounts) {
             verify::state_digest(b.sim.network()));
 }
 
+TEST(SnapshotRoundtrip, AuditorLedgerAndViolationsRoundTrip) {
+  // Saved mid-run with traffic in flight (a non-empty ledger) and a
+  // recorded violation (a ghost packet the auditor reports as lost): the
+  // restored auditor must carry both and serialize to the same bytes.
+  Rig a(attacked_config(1));
+  a.step(200);
+  verify::NetworkInvariantAuditor& aud = *a.sim.auditor();
+  PacketInfo ghost;
+  ghost.id = PacketId{1} << 40;
+  ghost.src_core = 3;
+  ghost.dest_core = 60;
+  ghost.src_router = a.sim.network().geometry().router_of_core(3);
+  ghost.dest_router = a.sim.network().geometry().router_of_core(60);
+  ghost.length = 2;
+  aud.on_packet_injected(a.sim.network().now(), ghost);
+  a.step(3);
+  ASSERT_FALSE(aud.clean());
+  ASSERT_FALSE(a.sim.network().quiescent());
+  const std::vector<std::uint8_t> blob = a.save();
+
+  Rig b(attacked_config(1));
+  b.load(blob);
+  EXPECT_EQ(b.sim.auditor()->report(), aud.report());
+  EXPECT_EQ(b.save(), blob);
+  a.step(150);
+  b.step(150);
+  EXPECT_EQ(a.save(), b.save());
+  EXPECT_EQ(b.sim.auditor()->report(), aud.report());
+  EXPECT_EQ(b.sim.auditor()->audits_run(), aud.audits_run());
+}
+
 TEST(SnapshotRoundtrip, CorruptPayloadRejected) {
   Rig a(attacked_config(1));
   a.step(120);
