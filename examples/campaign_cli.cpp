@@ -40,6 +40,8 @@ void usage() {
          "       campaign_cli --repro SPEC-OR-FILE\n"
          "--spec loads a JSON campaign spec (rules: \"Spec files\" in\n"
          "docs/REPRODUCING.md); other flags override on top of it.\n"
+         "--topologies draws each scenario's fabric from a comma list of\n"
+         "cmesh and mesh (default: the paper's cmesh only).\n"
          "--shard runs one strided slice of the campaign; --shard-summary\n"
          "writes the shard's mergeable JSON document, and --merge combines\n"
          "a complete shard set into the unsharded campaign verdict.\n";
@@ -108,70 +110,73 @@ int main(int argc, char** argv) {
       }
       return argv[++i];
     };
-    if (a == "--spec") {
-      (void)value();  // consumed by the first pass
-    } else if (a == "--scenarios") {
-      spec.scenarios = std::stoull(value(), nullptr, 0);
-    } else if (a == "--seed") {
-      spec.seed = std::stoull(value(), nullptr, 0);
-    } else if (a == "--jobs") {
-      spec.threads = std::stoi(value());
-    } else if (a == "--audit-period") {
-      spec.audit.period = std::stoull(value(), nullptr, 0);
-    } else if (a == "--topologies") {
-      // Comma-separated kinds, e.g. "cmesh,mesh,torus". Omitting the flag
-      // keeps the historical all-cmesh scenario distribution byte-for-byte.
-      std::string list = value();
-      for (std::size_t pos = 0; pos <= list.size();) {
-        const std::size_t comma = std::min(list.find(',', pos), list.size());
-        spec.topologies.push_back(
-            htnoc::topology_kind_from_string(list.substr(pos, comma - pos)));
-        pos = comma + 1;
-      }
-    } else if (a == "--shard") {
-      // I/N: run shard I of an N-way split (strided global indices).
-      const std::string v = value();
-      const std::size_t slash = v.find('/');
-      if (slash == std::string::npos) {
-        std::cerr << "campaign_cli: --shard expects I/N, got '" << v << "'\n";
-        return 2;
-      }
-      try {
+    // Bad values (unparsable numbers, unknown topology names) exit 2 with
+    // a message instead of aborting.
+    try {
+      if (a == "--spec") {
+        (void)value();  // consumed by the first pass
+      } else if (a == "--scenarios") {
+        spec.scenarios = std::stoull(value(), nullptr, 0);
+      } else if (a == "--seed") {
+        spec.seed = std::stoull(value(), nullptr, 0);
+      } else if (a == "--jobs") {
+        spec.threads = std::stoi(value());
+      } else if (a == "--audit-period") {
+        spec.audit.period = std::stoull(value(), nullptr, 0);
+      } else if (a == "--topologies") {
+        // Comma-separated kinds: "cmesh", "mesh" or both. Omitting the flag
+        // keeps the historical all-cmesh scenario distribution byte-for-byte.
+        std::string list = value();
+        for (std::size_t pos = 0; pos <= list.size();) {
+          const std::size_t comma = std::min(list.find(',', pos), list.size());
+          spec.topologies.push_back(
+              htnoc::topology_kind_from_string(list.substr(pos, comma - pos)));
+          pos = comma + 1;
+        }
+      } else if (a == "--shard") {
+        // I/N: run shard I of an N-way split (strided global indices).
+        const std::string v = value();
+        const std::size_t slash = v.find('/');
+        if (slash == std::string::npos) {
+          std::cerr << "campaign_cli: --shard expects I/N, got '" << v << "'\n";
+          return 2;
+        }
         spec.shard_index = std::stoull(v.substr(0, slash), nullptr, 0);
         spec.shard_count = std::stoull(v.substr(slash + 1), nullptr, 0);
-      } catch (const std::exception&) {
-        std::cerr << "campaign_cli: --shard expects I/N, got '" << v << "'\n";
+        if (spec.shard_count == 0 || spec.shard_index >= spec.shard_count) {
+          std::cerr << "campaign_cli: --shard needs I < N, got '" << v << "'\n";
+          return 2;
+        }
+      } else if (a == "--snapshot-warmup") {
+        spec.warmup_cycles = std::stoull(value(), nullptr, 0);
+      } else if (a == "--merge") {
+        // Consumes every following non-flag argument as a shard summary file.
+        merging = true;
+        while (i + 1 < argc && argv[i + 1][0] != '-') {
+          merge_files.emplace_back(argv[++i]);
+        }
+      } else if (a == "--summary-md") {
+        summary_md = value();
+      } else if (a == "--shard-summary") {
+        shard_summary = value();
+      } else if (a == "--dedup-report") {
+        dedup_report = value();
+      } else if (a == "--repro-dir") {
+        repro_dir = value();
+      } else if (a == "--repro") {
+        repro_arg = value();
+      } else if (a == "--quiet") {
+        quiet = true;
+      } else if (a == "--help" || a == "-h") {
+        usage();
+        return 0;
+      } else {
+        usage();
         return 2;
       }
-      if (spec.shard_count == 0 || spec.shard_index >= spec.shard_count) {
-        std::cerr << "campaign_cli: --shard needs I < N, got '" << v << "'\n";
-        return 2;
-      }
-    } else if (a == "--snapshot-warmup") {
-      spec.warmup_cycles = std::stoull(value(), nullptr, 0);
-    } else if (a == "--merge") {
-      // Consumes every following non-flag argument as a shard summary file.
-      merging = true;
-      while (i + 1 < argc && argv[i + 1][0] != '-') {
-        merge_files.emplace_back(argv[++i]);
-      }
-    } else if (a == "--summary-md") {
-      summary_md = value();
-    } else if (a == "--shard-summary") {
-      shard_summary = value();
-    } else if (a == "--dedup-report") {
-      dedup_report = value();
-    } else if (a == "--repro-dir") {
-      repro_dir = value();
-    } else if (a == "--repro") {
-      repro_arg = value();
-    } else if (a == "--quiet") {
-      quiet = true;
-    } else if (a == "--help" || a == "-h") {
-      usage();
-      return 0;
-    } else {
-      usage();
+    } catch (const std::exception& e) {
+      std::cerr << "campaign_cli: bad " << a << " value '" << argv[i]
+                << "': " << e.what() << "\n";
       return 2;
     }
   }

@@ -5,6 +5,8 @@
 namespace htnoc {
 
 void NocConfig::validate() const {
+  HTNOC_EXPECT(topology == TopologyKind::kConcentratedMesh ||
+               topology == TopologyKind::kMesh);
   HTNOC_EXPECT(mesh_width >= 2 && mesh_width <= 64);
   HTNOC_EXPECT(mesh_height >= 2 && mesh_height <= 64);
   HTNOC_EXPECT(concentration >= 1 && concentration <= 16);
@@ -27,7 +29,6 @@ void NocConfig::validate() const {
 TopologyKind topology_kind_from_string(const std::string& s) {
   if (s == "cmesh") return TopologyKind::kConcentratedMesh;
   if (s == "mesh") return TopologyKind::kMesh;
-  if (s == "torus") return TopologyKind::kTorus;
   throw ContractViolation("unknown topology kind: " + s);
 }
 
@@ -35,7 +36,6 @@ std::string to_string(TopologyKind k) {
   switch (k) {
     case TopologyKind::kConcentratedMesh: return "cmesh";
     case TopologyKind::kMesh: return "mesh";
-    case TopologyKind::kTorus: return "torus";
   }
   return "?";
 }

@@ -13,16 +13,14 @@ enum class RetransmissionScheme : std::uint8_t {
   kPerVcBuffer,   ///< Dedicated slots per VC.
 };
 
-/// Fabric family (see src/topology). The paper's platform is the 4x4
-/// concentrated mesh; the generic mesh and torus open the large-scale
-/// regimes the refined-DoS literature targets. The topology decides the
-/// link graph and the default dimension-order routing function; everything
-/// downstream (routers, links, NIs, auditing, tracing) is
-/// topology-agnostic.
+/// Fabric family. The paper's platform is the 4x4 concentrated mesh; the
+/// plain mesh opens the large-scale regimes the refined-DoS literature
+/// targets. Both are one MeshGeometry with x-y routing and differ only in
+/// concentration (kMesh pins it to 1). The numeric values are stored in
+/// trace headers, snapshot fingerprints and campaign descriptors.
 enum class TopologyKind : std::uint8_t {
   kConcentratedMesh,  ///< width x height routers, `concentration` cores each.
   kMesh,              ///< Plain k x k mesh, one core per router.
-  kTorus,             ///< Mesh with wrap-around links and ring-aware routing.
 };
 
 /// Link error-control scheme. The paper evaluates SECDED ("one fault can be

@@ -343,6 +343,12 @@ std::string to_string(const Value& v, int indent) {
   return out;
 }
 
+std::string quote(const std::string& s) {
+  std::string out;
+  write_escaped(out, s);
+  return out;
+}
+
 std::string format_double(double v) {
   char buf[40];
   if (v == 0.0) return "0";  // also normalizes -0

@@ -169,6 +169,10 @@ void write(std::string& out, const Value& v, int indent = -1);
 /// round-trips). Exposed because the sweep emitters use the same contract.
 [[nodiscard]] std::string format_double(double v);
 
+/// `s` as a JSON string literal, quotes included, escaped exactly as
+/// write() escapes strings. Exposed for the sweep emitters.
+[[nodiscard]] std::string quote(const std::string& s);
+
 /// uint64 values can exceed JSON's exactly-representable integer range, so
 /// the codecs serialize them as decimal/hex strings; this accepts either a
 /// JSON number (exact only below 2^53) or a string of a decimal, hex or

@@ -1,56 +1,12 @@
 #include "sweep/emit.hpp"
 
-#include <cmath>
-#include <cstdio>
 #include <sstream>
+
+#include "common/json.hpp"
 
 namespace htnoc::sweep {
 
-namespace {
-
-/// Shortest exact decimal form of a double: integral values print as plain
-/// integers ("500", not "5e+02"); everything else tries increasing "%.g"
-/// precision until the text round-trips ("%.17g" alone is exact but prints
-/// 0.10000000000000001).
-std::string fmt_double(double v) {
-  char buf[40];
-  if (v == 0.0) return "0";  // also normalizes -0
-  if (v == std::floor(v) && std::fabs(v) < 9007199254740992.0) {  // 2^53
-    std::snprintf(buf, sizeof buf, "%.0f", v);
-    return buf;
-  }
-  for (int prec = 1; prec <= 17; ++prec) {
-    std::snprintf(buf, sizeof buf, "%.*g", prec, v);
-    double parsed = 0.0;
-    std::sscanf(buf, "%lf", &parsed);
-    if (parsed == v) break;
-  }
-  return buf;
-}
-
-std::string json_escape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size());
-  for (const char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof buf, "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-  return out;
-}
-
-}  // namespace
+using json::format_double;
 
 void write_summary_csv(std::ostream& os, const SweepResult& result) {
   os << "point,label,replicates,failures,metric,mean,stddev,min,max\n";
@@ -59,9 +15,9 @@ void write_summary_csv(std::ostream& os, const SweepResult& result) {
     for (std::size_t k = 0; k < names.size(); ++k) {
       const MetricAggregate& a = gs.metrics[k];
       os << gs.point_linear << ",\"" << gs.label << "\"," << gs.replicates
-         << ',' << gs.failures << ',' << names[k] << ',' << fmt_double(a.mean)
-         << ',' << fmt_double(a.stddev) << ',' << fmt_double(a.min) << ','
-         << fmt_double(a.max) << '\n';
+         << ',' << gs.failures << ',' << names[k] << ',' << format_double(a.mean)
+         << ',' << format_double(a.stddev) << ',' << format_double(a.min) << ','
+         << format_double(a.max) << '\n';
     }
   }
 }
@@ -75,7 +31,7 @@ void write_runs_csv(std::ostream& os, const SweepResult& result) {
     os << r.spec.point.linear << ",\"" << r.spec.point_label() << "\","
        << r.spec.replicate << ',' << r.spec.seed << ',' << (r.ok ? 1 : 0);
     if (r.ok) {
-      for (const double m : r.metrics()) os << ',' << fmt_double(m);
+      for (const double m : r.metrics()) os << ',' << format_double(m);
     } else {
       for (std::size_t k = 0; k < names.size(); ++k) os << ',';
     }
@@ -95,34 +51,35 @@ void write_json(std::ostream& os, const SweepResult& result) {
     os << "    {\"point\": " << r.spec.point.linear
        << ", \"replicate\": " << r.spec.replicate
        // uint64 seeds exceed JSON's exact-integer range; keep as a string.
-       << ", \"seed\": \"" << r.spec.seed << '"' << ", \"label\": \""
-       << json_escape(r.spec.point_label()) << '"'
+       << ", \"seed\": \"" << r.spec.seed << '"'
+       << ", \"label\": " << json::quote(r.spec.point_label())
        << ", \"ok\": " << (r.ok ? "true" : "false");
     if (r.ok) {
       os << ", \"completed\": " << (r.completed ? "true" : "false")
          << ", \"metrics\": [";
       const std::vector<double> m = r.metrics();
       for (std::size_t k = 0; k < m.size(); ++k) {
-        os << (k ? ", " : "") << fmt_double(m[k]);
+        os << (k ? ", " : "") << format_double(m[k]);
       }
       os << ']';
     } else {
-      os << ", \"error\": \"" << json_escape(r.error) << '"';
+      os << ", \"error\": " << json::quote(r.error);
     }
     os << '}' << (i + 1 < result.runs.size() ? "," : "") << '\n';
   }
   os << "  ],\n  \"summary\": [\n";
   for (std::size_t i = 0; i < result.summary.size(); ++i) {
     const GridSummary& gs = result.summary[i];
-    os << "    {\"point\": " << gs.point_linear << ", \"label\": \""
-       << json_escape(gs.label) << '"' << ", \"replicates\": " << gs.replicates
+    os << "    {\"point\": " << gs.point_linear
+       << ", \"label\": " << json::quote(gs.label)
+       << ", \"replicates\": " << gs.replicates
        << ", \"failures\": " << gs.failures << ", \"metrics\": {";
     for (std::size_t k = 0; k < names.size(); ++k) {
       const MetricAggregate& a = gs.metrics[k];
       os << (k ? ", " : "") << '"' << names[k] << "\": {\"mean\": "
-         << fmt_double(a.mean) << ", \"stddev\": " << fmt_double(a.stddev)
-         << ", \"min\": " << fmt_double(a.min)
-         << ", \"max\": " << fmt_double(a.max) << '}';
+         << format_double(a.mean) << ", \"stddev\": " << format_double(a.stddev)
+         << ", \"min\": " << format_double(a.min)
+         << ", \"max\": " << format_double(a.max) << '}';
     }
     os << "}}" << (i + 1 < result.summary.size() ? "," : "") << '\n';
   }

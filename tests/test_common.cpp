@@ -2,7 +2,6 @@
 
 #include "common/config.hpp"
 #include "common/expect.hpp"
-#include "common/log.hpp"
 #include "common/types.hpp"
 
 namespace htnoc {
@@ -44,6 +43,14 @@ TEST(Config, ValidateRejectsEachBadField) {
     c.tdm_enabled = true;
     c.vcs_per_port = 3;  // TDM needs an even split
   });
+  expect_invalid([](NocConfig& c) { c.topology = static_cast<TopologyKind>(2); });
+}
+
+TEST(Config, TopologyNamesRoundTrip) {
+  for (const TopologyKind k : {TopologyKind::kConcentratedMesh, TopologyKind::kMesh}) {
+    EXPECT_EQ(topology_kind_from_string(to_string(k)), k);
+  }
+  EXPECT_THROW((void)topology_kind_from_string("torus"), ContractViolation);
 }
 
 TEST(Contracts, MacrosThrowWithLocation) {
@@ -59,22 +66,6 @@ TEST(Contracts, MacrosThrowWithLocation) {
   EXPECT_THROW(HTNOC_ENSURE(false), ContractViolation);
   EXPECT_THROW(HTNOC_INVARIANT(false), ContractViolation);
   EXPECT_NO_THROW(HTNOC_EXPECT(true));
-}
-
-TEST(Log, LevelGatesOutput) {
-  const LogLevel before = Log::level();
-  Log::set_level(LogLevel::kError);
-  EXPECT_TRUE(Log::enabled(LogLevel::kError));
-  EXPECT_FALSE(Log::enabled(LogLevel::kInfo));
-  Log::set_level(LogLevel::kDebug);
-  EXPECT_TRUE(Log::enabled(LogLevel::kInfo));
-  EXPECT_FALSE(Log::enabled(LogLevel::kTrace));
-  // The helpers format lazily and never crash.
-  log_error("e", 1);
-  log_warn("w", 2.5);
-  log_info("i ", std::string("x"));
-  log_debug("d");
-  Log::set_level(before);
 }
 
 TEST(Types, OppositeDirections) {

@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <vector>
+
 namespace htnoc {
 namespace {
 
@@ -86,6 +89,22 @@ TEST(Geometry, RejectsDegenerateShapes) {
   EXPECT_THROW(MeshGeometry(4, 4, 0), ContractViolation);
 }
 
+TEST_F(Geometry4x4, LinksEnumerateTheMeshInCanonicalOrder) {
+  const std::vector<LinkRef> links = geom.links();
+  // 4 rows x 3 east/west pairs + 4 columns x 3 north/south pairs.
+  EXPECT_EQ(links.size(), 48u);
+  // Routers ascending, then N,S,E,W: r0 is the top-left corner.
+  EXPECT_EQ(links[0], (LinkRef{0, Direction::kSouth}));
+  EXPECT_EQ(links[1], (LinkRef{0, Direction::kEast}));
+  EXPECT_EQ(links[2], (LinkRef{1, Direction::kSouth}));
+  EXPECT_TRUE(std::is_sorted(links.begin(), links.end()));
+  for (const LinkRef& l : links) {
+    ASSERT_TRUE(geom.has_neighbor(l.from, l.dir));
+    const LinkRef back{geom.neighbor(l.from, l.dir), opposite(l.dir)};
+    EXPECT_TRUE(std::binary_search(links.begin(), links.end(), back));
+  }
+}
+
 TEST(Geometry, NonSquareMesh) {
   const MeshGeometry g(8, 2, 1);
   EXPECT_EQ(g.num_routers(), 16);
@@ -93,6 +112,7 @@ TEST(Geometry, NonSquareMesh) {
   EXPECT_EQ(g.coord_of(9).x, 1);
   EXPECT_EQ(g.coord_of(9).y, 1);
   EXPECT_FALSE(g.has_neighbor(9, Direction::kSouth));
+  EXPECT_EQ(g.links().size(), 2u * 7 * 2 + 2u * 8 * 1);
 }
 
 }  // namespace

@@ -38,7 +38,6 @@ struct FabricParam {
 constexpr FabricParam kFabrics[] = {
     {"cmesh4x4", TopologyKind::kConcentratedMesh, 4, 4, 4},
     {"mesh8x8", TopologyKind::kMesh, 8, 8, 1},
-    {"torus8x8", TopologyKind::kTorus, 8, 8, 1},
 };
 
 sim::SimConfig audited_config(const FabricParam& f) {

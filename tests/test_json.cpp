@@ -105,6 +105,11 @@ TEST(Json, StringEscapes) {
   EXPECT_EQ(parse(R"("😀")").as_string(), "\xF0\x9F\x98\x80");
   // Control characters must be escaped on the way out.
   EXPECT_EQ(to_string(Value(std::string("a\nb\x01"))), "\"a\\nb\\u0001\"");
+  // quote() is the same escaper, for emitters that stream their own JSON.
+  const std::string raw = "q\"\\\r\t\x1f";
+  EXPECT_EQ(quote(raw), to_string(Value(raw)));
+  EXPECT_EQ(quote(raw), "\"q\\\"\\\\\\r\\t\\u001f\"");
+  EXPECT_EQ(parse(quote(raw)).as_string(), raw);
 }
 
 TEST(Json, NumberFormattingRoundTrips) {

@@ -4,9 +4,9 @@
 // hash the full resident-flit census every cycle — not just end-of-run
 // counters — so a single divergently-ordered flit anywhere in the fabric
 // fails the run at the cycle it appears. The contract is fabric-agnostic,
-// so the state-evolution tests run on the paper's 4x4 concentrated mesh,
-// a plain 8x8 mesh and an 8x8 torus, plus a 64x64 mesh for the sharded
-// large-fabric regime.
+// so the state-evolution tests run on the paper's 4x4 concentrated mesh
+// and a plain 8x8 mesh, plus a 64x64 mesh for the sharded large-fabric
+// regime.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -37,7 +37,6 @@ struct Fabric {
 constexpr Fabric kFabrics[] = {
     {"cmesh4x4", TopologyKind::kConcentratedMesh, 4, 4, 4},
     {"mesh8x8", TopologyKind::kMesh, 8, 8, 1},
-    {"torus8x8", TopologyKind::kTorus, 8, 8, 1},
 };
 
 void apply(const Fabric& f, NocConfig& noc) {

@@ -1,8 +1,8 @@
-// Property-based routing tests: randomized (topology, size, src, dst)
-// tuples checked against the invariants every deterministic routing
-// function in src/topology must hold —
+// Property-based routing tests: randomized (fabric, size, src, dst)
+// tuples checked against the invariants the default x-y routing must hold
+// on every fabric —
 //
-//   minimality    every hop reduces the topology hop distance by exactly 1,
+//   minimality    every hop reduces the mesh hop distance by exactly 1,
 //                 so the walk takes hop_distance(src,dst) hops, no more;
 //   loop freedom  an immediate corollary of minimality (distance is a
 //                 strictly decreasing measure, no router repeats);
@@ -21,15 +21,15 @@
 #include <gtest/gtest.h>
 
 #include <cstdlib>
-#include <memory>
 #include <sstream>
 #include <string>
 
+#include "common/geometry.hpp"
 #include "common/rng.hpp"
 #include "noc/flit.hpp"
+#include "noc/routing.hpp"
 #include "noc/updown.hpp"
 #include "sweep/spec.hpp"
-#include "topology/topology.hpp"
 
 namespace {
 
@@ -58,18 +58,14 @@ std::string repro_line(std::uint64_t seed, std::uint64_t iter) {
 }
 
 /// Draw a random fabric. Sizes span degenerate (2x2) through 8x8, with
-/// rectangular grids included; kMesh keeps concentration 1 by definition.
-std::unique_ptr<Topology> draw_topology(Rng& rng, NocConfig& cfg) {
-  constexpr TopologyKind kKinds[] = {TopologyKind::kConcentratedMesh,
-                                     TopologyKind::kMesh,
-                                     TopologyKind::kTorus};
-  cfg.topology = kKinds[rng.next_below(std::size(kKinds))];
-  cfg.mesh_width = static_cast<int>(rng.next_in(2, 8));
-  cfg.mesh_height = static_cast<int>(rng.next_in(2, 8));
-  cfg.concentration = cfg.topology == TopologyKind::kMesh
-                          ? 1
-                          : static_cast<int>(rng.next_in(1, 4));
-  return make_topology(cfg);
+/// rectangular grids included; the plain mesh keeps concentration 1.
+MeshGeometry draw_geometry(Rng& rng) {
+  const bool plain_mesh = rng.next_bool(0.5);
+  const auto width = static_cast<int>(rng.next_in(2, 8));
+  const auto height = static_cast<int>(rng.next_in(2, 8));
+  const int concentration =
+      plain_mesh ? 1 : static_cast<int>(rng.next_in(1, 4));
+  return {width, height, concentration};
 }
 
 Flit head_to(const MeshGeometry& geom, NodeId dest_core) {
@@ -95,11 +91,8 @@ TEST(RoutingProperties, DefaultRoutingIsMinimalLoopFreeDimensionOrdered) {
     SCOPED_TRACE(repro_line(seed, iter));
     Rng rng(sweep::mix_seed(seed, iter));
 
-    NocConfig cfg;
-    const std::unique_ptr<Topology> topo = draw_topology(rng, cfg);
-    const MeshGeometry& geom = topo->geometry();
-    const std::unique_ptr<RoutingFunction> routing =
-        topo->make_default_routing();
+    const MeshGeometry geom = draw_geometry(rng);
+    const XyRouting routing(geom);
 
     const auto src = static_cast<RouterId>(
         rng.next_below(static_cast<std::uint64_t>(geom.num_routers())));
@@ -108,83 +101,46 @@ TEST(RoutingProperties, DefaultRoutingIsMinimalLoopFreeDimensionOrdered) {
     const Flit f = head_to(geom, dest_core);
 
     RouterId here = src;
-    const int dist = topo->hop_distance(src, f.dest_router);
+    const int dist = geom.hop_distance(src, f.dest_router);
     bool y_started = false;
     for (int hop = 0; hop <= dist; ++hop) {
-      const RouteDecision dec = routing->route(here, f);
+      const RouteDecision dec = routing.route(here, f);
       if (here == f.dest_router) {
         ASSERT_EQ(dec.out_port,
                   kPortLocalBase + geom.local_slot_of_core(dest_core))
-            << routing->name() << ": wrong ejection port at r" << here;
+            << routing.name() << ": wrong ejection port at r" << here;
         ASSERT_EQ(hop, dist)
-            << routing->name() << ": route length != hop distance";
+            << routing.name() << ": route length != hop distance";
         break;
       }
-      ASSERT_LT(hop, dist) << routing->name()
+      ASSERT_LT(hop, dist) << routing.name()
                            << ": still not at destination after " << dist
                            << " hops (loop or detour)";
       ASSERT_TRUE(is_x_port(dec.out_port) || is_y_port(dec.out_port))
-          << routing->name() << ": non-mesh port " << dec.out_port << " at r"
+          << routing.name() << ": non-mesh port " << dec.out_port << " at r"
           << here;
       if (is_y_port(dec.out_port)) {
         y_started = true;
       } else {
         ASSERT_FALSE(y_started)
-            << routing->name()
+            << routing.name()
             << ": x hop after a y hop breaks dimension order at r" << here;
       }
       const Direction d = port_direction(dec.out_port);
-      ASSERT_TRUE(topo->has_neighbor(here, d))
-          << routing->name() << ": routed off the fabric at r" << here;
-      const RouterId next = topo->neighbor(here, d);
-      ASSERT_EQ(topo->hop_distance(next, f.dest_router),
-                topo->hop_distance(here, f.dest_router) - 1)
-          << routing->name() << ": non-minimal hop r" << here << " -> r"
+      ASSERT_TRUE(geom.has_neighbor(here, d))
+          << routing.name() << ": routed off the fabric at r" << here;
+      const RouterId next = geom.neighbor(here, d);
+      ASSERT_EQ(geom.hop_distance(next, f.dest_router),
+                geom.hop_distance(here, f.dest_router) - 1)
+          << routing.name() << ": non-minimal hop r" << here << " -> r"
           << next;
       here = next;
     }
   }
 }
 
-TEST(RoutingProperties, TorusRoutingTakesTheShortRingWay) {
-  // Directed spot check of the wrap behaviour the random walk exercises
-  // statistically: edge-to-opposite-edge is one wrap hop, and the exact
-  // half-way tie breaks East/South deterministically.
-  NocConfig cfg;
-  cfg.topology = TopologyKind::kTorus;
-  cfg.mesh_width = 8;
-  cfg.mesh_height = 8;
-  cfg.concentration = 1;
-  const std::unique_ptr<Topology> topo = make_topology(cfg);
-  const MeshGeometry& geom = topo->geometry();
-  const std::unique_ptr<RoutingFunction> routing =
-      topo->make_default_routing();
-
-  EXPECT_EQ(geom.hop_distance(geom.router_at({0, 0}), geom.router_at({7, 0})),
-            1);
-  // (0,0) -> (7,0): West around the wrap, not six hops East.
-  EXPECT_EQ(routing
-                ->route(geom.router_at({0, 0}),
-                        head_to(geom, geom.core_at(geom.router_at({7, 0}), 0)))
-                .out_port,
-            kPortWest);
-  // (0,0) -> (4,0): both ways are 4 hops; the tie breaks East.
-  EXPECT_EQ(routing
-                ->route(geom.router_at({0, 0}),
-                        head_to(geom, geom.core_at(geom.router_at({4, 0}), 0)))
-                .out_port,
-            kPortEast);
-  // (0,0) -> (0,4): the y tie breaks South.
-  EXPECT_EQ(routing
-                ->route(geom.router_at({0, 0}),
-                        head_to(geom, geom.core_at(geom.router_at({0, 4}), 0)))
-                .out_port,
-            kPortSouth);
-}
-
 TEST(RoutingProperties, UpDownReachesEveryDestinationOnEveryFabric) {
-  // Up*/down* is the reconfiguration fallback on all fabrics (its spanning
-  // tree never uses wrap links it isn't given, so it is torus-safe). Not
+  // Up*/down* is the reconfiguration fallback on all fabrics. Not
   // minimal — the property here is reachability with a strictly bounded,
   // loop-classifiable walk: up hops strictly precede down hops, so a route
   // can visit at most 2 * num_routers channels.
@@ -195,9 +151,7 @@ TEST(RoutingProperties, UpDownReachesEveryDestinationOnEveryFabric) {
     SCOPED_TRACE(repro_line(seed, iter));
     Rng rng(sweep::mix_seed(seed ^ 0xDEAD, iter));
 
-    NocConfig cfg;
-    const std::unique_ptr<Topology> topo = draw_topology(rng, cfg);
-    const MeshGeometry& geom = topo->geometry();
+    const MeshGeometry geom = draw_geometry(rng);
     const UpDownRouting routing(geom, {});
 
     const auto src = static_cast<RouterId>(
@@ -218,8 +172,8 @@ TEST(RoutingProperties, UpDownReachesEveryDestinationOnEveryFabric) {
         break;
       }
       const Direction d = port_direction(dec.out_port);
-      ASSERT_TRUE(topo->has_neighbor(here, d));
-      here = topo->neighbor(here, d);
+      ASSERT_TRUE(geom.has_neighbor(here, d));
+      here = geom.neighbor(here, d);
       f.route_phase_down = dec.next_phase_down;
     }
     ASSERT_LE(hop, bound) << "up*/down* walk exceeded its channel bound";

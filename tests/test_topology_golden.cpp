@@ -6,7 +6,9 @@
 // byte-compared against that record under idle, loaded and attacked
 // traffic, so any refactor of topology construction, routing selection or
 // the step loop that changes even one flit placement on the seed fabric
-// fails here at the exact cycle it diverges.
+// fails here at the exact cycle it diverges. A loaded 8x8 plain mesh
+// (concentration 1) is locked the same way, so a change to the geometry
+// both fabrics share shows on each of them.
 //
 // Regenerating (only after an *intended* behavior change, with review):
 //   HTNOC_UPDATE_GOLDEN=1 ./build/tests/test_topology_golden
@@ -30,10 +32,19 @@ using namespace htnoc;
 
 enum class Load : std::uint8_t { kIdle, kLoaded, kAttacked };
 
-/// Drive the seed 4x4 cmesh under a fixed-seed scenario and record the
-/// state digest after every step() call.
-std::vector<std::uint64_t> run_digests(Load load, Cycle cycles) {
+enum class Fabric : std::uint8_t { kCmesh4x4, kMesh8x8 };
+
+/// Drive a fixed-seed scenario on the given fabric and record the state
+/// digest after every step() call.
+std::vector<std::uint64_t> run_digests(Load load, Cycle cycles,
+                                       Fabric fabric = Fabric::kCmesh4x4) {
   sim::SimConfig sc;
+  if (fabric == Fabric::kMesh8x8) {
+    sc.noc.topology = TopologyKind::kMesh;
+    sc.noc.mesh_width = 8;
+    sc.noc.mesh_height = 8;
+    sc.noc.concentration = 1;
+  }
   sc.noc.seed = 0xBEEF;
   sc.seed = 0xF00D;
   if (load == Load::kAttacked) {
@@ -76,7 +87,7 @@ void write_golden(const std::string& name,
                   const std::vector<std::uint64_t>& digests) {
   std::ofstream os(golden_path(name));
   ASSERT_TRUE(os) << "cannot write " << golden_path(name);
-  os << "# per-cycle FNV-1a census digests of the legacy 4x4 cmesh\n";
+  os << "# per-cycle FNV-1a census digests of " << name << "\n";
   char buf[32];
   for (const std::uint64_t d : digests) {
     std::snprintf(buf, sizeof buf, "%016llx\n",
@@ -98,8 +109,9 @@ std::vector<std::uint64_t> read_golden(const std::string& name) {
   return out;
 }
 
-void check_against_golden(const std::string& name, Load load, Cycle cycles) {
-  const std::vector<std::uint64_t> got = run_digests(load, cycles);
+void check_against_golden(const std::string& name, Load load, Cycle cycles,
+                          Fabric fabric = Fabric::kCmesh4x4) {
+  const std::vector<std::uint64_t> got = run_digests(load, cycles, fabric);
   if (update_mode()) {
     write_golden(name, got);
     return;
@@ -108,7 +120,7 @@ void check_against_golden(const std::string& name, Load load, Cycle cycles) {
   ASSERT_EQ(want.size(), got.size()) << name;
   for (std::size_t c = 0; c < want.size(); ++c) {
     ASSERT_EQ(want[c], got[c])
-        << name << ": first divergence from the legacy fabric at cycle " << c;
+        << name << ": first divergence from the recorded fabric at cycle " << c;
   }
 }
 
@@ -122,6 +134,11 @@ TEST(TopologyGolden, LoadedCmesh4x4MatchesLegacyFabric) {
 
 TEST(TopologyGolden, AttackedCmesh4x4MatchesLegacyFabric) {
   check_against_golden("cmesh4x4_attacked.digests", Load::kAttacked, 600);
+}
+
+TEST(TopologyGolden, LoadedMesh8x8MatchesRecordedFabric) {
+  check_against_golden("mesh8x8_loaded.digests", Load::kLoaded, 600,
+                       Fabric::kMesh8x8);
 }
 
 }  // namespace
